@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .device import Device, FreeSegment, total_transfer
+from .device import Device, FreeSegment, check_k_grid, total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, DefectSpec
 from .scattering import propagation
@@ -161,13 +161,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     overlap), and momenta where the eigenvector matrix is numerically
     defective are reported in ``flagged_k``.
     """
-    ks = np.asarray(k_grid, dtype=float)
-    if ks.ndim != 1 or len(ks) == 0:
-        raise ParameterDomainError("k grid must be a non-empty 1d array")
-    if not np.all(ks > 0):
-        raise ParameterDomainError("k grid values must be > 0")
-    if np.any(np.diff(ks) < 0):
-        raise ParameterDomainError("k grid must be sorted ascending")
+    ks = check_k_grid(k_grid)
     a = comb.period
 
     rec_k, rec_q, rec_e, rec_b, rec_res = [], [], [], [], []

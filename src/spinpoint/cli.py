@@ -22,13 +22,8 @@ from . import bands as _bands
 from . import device as _device
 from .device import Device, FreeSegment
 from .errors import ConfigError, SpinpointError
-from .extensions import (
-    DefectKind,
-    DefectSpec,
-    conserves_currents,
-    defect_matrix,
-)
-from .scattering import CHANNELS, SpectralSingularityError, transfer_to_scattering
+from .extensions import PARAM_KEY, DefectKind, DefectSpec, conserves_currents, defect_matrix
+from .scattering import CHANNELS, ScatteringMatrix, scattering_stack
 
 __all__ = [
     "SweepSpec",
@@ -44,15 +39,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 CSV_TAG = "# spinpoint-csv v1"
 COMMANDS = ("check", "scatter", "device", "bands")
-
-_PARAM_KEY = {
-    DefectKind.X1: "x1",
-    DefectKind.X4: "x4",
-    DefectKind.MASS_JUMP: "mu",
-    DefectKind.FLUX: "phi",
-    DefectKind.R_FLIP: "r",
-    DefectKind.RTILDE_FLIP: "r_tilde",
-}
 
 
 @dataclass(frozen=True)
@@ -127,7 +113,7 @@ def _build_defect(doc, context: str) -> DefectSpec:
             _build_defect(f, f"{context}.factors[{i}]") for i, f in enumerate(factors)
         )
         return DefectSpec(DefectKind.PRODUCT, factors=built)
-    param = _PARAM_KEY[kind]
+    param = PARAM_KEY[kind]
     _check_keys(doc, {"kind", param}, context)
     value = _number(doc, param, context)
     return DefectSpec(kind, **{param: value})
@@ -273,7 +259,7 @@ def load_config(path: Path | str) -> RunConfig:
 def _defect_doc(spec: DefectSpec) -> dict:
     if spec.kind is DefectKind.PRODUCT:
         return {"kind": "product", "factors": [_defect_doc(f) for f in spec.factors]}
-    param = _PARAM_KEY[spec.kind]
+    param = PARAM_KEY[spec.kind]
     return {"kind": spec.kind.value, param: getattr(spec, param)}
 
 
@@ -347,40 +333,27 @@ def _scatter_columns() -> list[str]:
     return cols
 
 
-def _run_scatter(config: RunConfig, threads: int) -> str:
+def _run_scatter(config: RunConfig) -> str:
     ks = config.sweep.grid()
-    matrix = defect_matrix(config.defect)
-
-    def row(k: float) -> str:
+    transfers = np.broadcast_to(defect_matrix(config.defect), (len(ks), 4, 4))
+    s, singular = scattering_stack(transfers, ks, conservation_tol=config.tolerances.transfer)
+    residuals = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
+    rows = []
+    for k, entries, residual, flag in zip(ks, s, residuals, singular):
         fields = [_fmt(k), _fmt(k * k)]
-        try:
-            s = transfer_to_scattering(matrix, k, conservation_tol=config.tolerances.transfer)
-            entries = s.matrix
-            residual = s.unitarity_residual()
-            singular = 0
-        except SpectralSingularityError:
-            entries = np.full((4, 4), np.nan + 0j)
-            residual = float("nan")
-            singular = 1
-        for i in range(4):
-            for j in range(4):
-                fields.append(_fmt(entries[i, j].real))
-                fields.append(_fmt(entries[i, j].imag))
-        fields.append(_fmt(residual))
-        fields.append(str(singular))
-        return ",".join(fields)
-
-    rows = _parallel([float(k) for k in ks], row, threads)
+        for value in entries.ravel():
+            fields += [_fmt(value.real), _fmt(value.imag)]
+        fields += [_fmt(residual), str(int(flag))]
+        rows.append(",".join(fields))
     return _csv([f"{CSV_TAG} scatter", ",".join(_scatter_columns())] + rows)
 
 
-def _run_device(config: RunConfig, threads: int) -> str:
+def _run_device(config: RunConfig) -> str:
     table = _device.spectrum(
         config.device,
         config.sweep.grid(),
         incident=config.incident,
         conservation_tol=config.tolerances.transfer,
-        threads=threads,
     )
     header = "k,E,p_left_up,p_left_down,p_right_up,p_right_down,unitarity_residual,singular"
     rows = []
@@ -412,17 +385,12 @@ def _run_bands(config: RunConfig) -> str:
     return _csv([f"{CSV_TAG} bands", "k,E,q,branch_id,lambda_residual"] + rows)
 
 
-def _parallel(items, func, threads: int) -> list:
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
-
-
 def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> int:
-    """Execute a validated config; write CSV/report to ``out`` or stdout."""
+    """Execute a validated config; write CSV/report to ``out`` or stdout.
+
+    ``threads`` is accepted for compatibility and ignored: every sweep is
+    one batched computation.
+    """
     if config.command == "check":
         text = _run_check(config)
         sys.stdout.write(text)
@@ -430,9 +398,9 @@ def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> i
             _write(out, text)
         return 0
     if config.command == "scatter":
-        text = _run_scatter(config, threads)
+        text = _run_scatter(config)
     elif config.command == "device":
-        text = _run_device(config, threads)
+        text = _run_device(config)
     elif config.command == "bands":
         text = _run_bands(config)
     else:  # pragma: no cover - parse_config rejects unknown commands
@@ -464,7 +432,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, required=True, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scattering as _scattering
-from .errors import ParameterDomainError, SpectralSingularityError
+from .errors import ParameterDomainError
 from .extensions import DefectSpec, defect_matrix, r_flip_defect, x1_defect
-from .scattering import channel_index, propagation
+from .scattering import CHANNELS, ScatteringMatrix, channel_index, propagation, scattering_stack
 
 __all__ = [
     "FreeSegment",
@@ -90,13 +88,16 @@ def total_transfer(device: Device, k: float) -> np.ndarray:
     return total
 
 
-def _spectrum_row(device: Device, k: float, incident_idx: int, conservation_tol: float):
-    transfer = total_transfer(device, k)
-    try:
-        s = _scattering.transfer_to_scattering(transfer, k, conservation_tol=conservation_tol)
-    except SpectralSingularityError:
-        return np.full(4, np.nan), np.nan, True
-    return s.probabilities(incident_idx), s.unitarity_residual(), False
+def check_k_grid(k_grid) -> np.ndarray:
+    """Validate a momentum grid: non-empty, 1d, positive and sorted ascending."""
+    ks = np.asarray(k_grid, dtype=float)
+    if ks.ndim != 1 or len(ks) == 0:
+        raise ParameterDomainError("k grid must be a non-empty 1d array")
+    if not np.all(ks > 0):
+        raise ParameterDomainError("k grid values must be > 0")
+    if np.any(np.diff(ks) < 0):
+        raise ParameterDomainError("k grid must be sorted ascending")
+    return ks
 
 
 def spectrum(
@@ -111,37 +112,24 @@ def spectrum(
 
     Momenta where the in/out rearrangement is singular produce NaN
     probability rows with the ``singular`` flag set instead of failing
-    the whole sweep.  Rows are returned in grid order regardless of the
-    number of worker threads.
+    the whole sweep.  The grid is converted in one batched call of
+    :func:`~spinpoint.scattering.scattering_stack`; ``threads`` is
+    accepted for compatibility and ignored.
     """
-    ks = np.asarray(k_grid, dtype=float)
-    if ks.ndim != 1 or len(ks) == 0:
-        raise ParameterDomainError("k grid must be a non-empty 1d array")
-    if not np.all(ks > 0):
-        raise ParameterDomainError("k grid values must be > 0")
-    if np.any(np.diff(ks) < 0):
-        raise ParameterDomainError("k grid must be sorted ascending")
+    ks = check_k_grid(k_grid)
     idx = channel_index(incident)
-
-    def row(i: int):
-        return _spectrum_row(device, float(ks[i]), idx, conservation_tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, range(len(ks))))
-    else:
-        results = [row(i) for i in range(len(ks))]
-
-    probs = np.array([res[0] for res in results])
-    residuals = np.array([res[1] for res in results])
-    singular = np.array([res[2] for res in results], dtype=bool)
+    transfers = np.empty((len(ks), 4, 4), dtype=complex)
+    for i, k in enumerate(ks):
+        transfers[i] = total_transfer(device, float(k))
+    s, singular = scattering_stack(transfers, ks, conservation_tol=conservation_tol)
+    smat = ScatteringMatrix(matrix=s, k=ks)
     return SpectrumTable(
         k=ks,
         energy=ks * ks,
-        probabilities=probs,
-        unitarity_residual=residuals,
+        probabilities=smat.probabilities(idx),
+        unitarity_residual=smat.unitarity_residual(),
         singular=singular,
-        incident=_scattering.CHANNELS[idx],
+        incident=CHANNELS[idx],
     )
 
 

@@ -18,7 +18,7 @@ class SpectralSingularityError(SpinpointError, RuntimeError):
 
     def __init__(self, k: float, message: str | None = None):
         self.k = float(k)
-        super().__init__(message or f"singular scattering rearrangement at k={k!r}")
+        super().__init__(message or f"singular scattering rearrangement at k={self.k!r}")
 
 
 class ConfigError(SpinpointError, ValueError):

@@ -38,6 +38,7 @@ from .errors import ParameterDomainError
 __all__ = [
     "DefectKind",
     "DefectSpec",
+    "PARAM_KEY",
     "CurrentForm",
     "CurrentReport",
     "current_forms",
@@ -68,6 +69,18 @@ class DefectKind(str, Enum):
     R_FLIP = "r_x4"
     RTILDE_FLIP = "rtilde_x1"
     PRODUCT = "product"
+
+
+#: Name of the single parameter of each non-product kind, as a DefectSpec
+#: field and as a config key.
+PARAM_KEY = {
+    DefectKind.X1: "x1",
+    DefectKind.X4: "x4",
+    DefectKind.MASS_JUMP: "mu",
+    DefectKind.FLUX: "phi",
+    DefectKind.R_FLIP: "r",
+    DefectKind.RTILDE_FLIP: "r_tilde",
+}
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,6 @@ def defect_matrix(spec: DefectSpec) -> np.ndarray:
     if kind is DefectKind.X4:
         return _lift(np.array([[1.0, -spec.x4], [0.0, 1.0]], dtype=complex))
     if kind is DefectKind.MASS_JUMP:
-        if not spec.mu > 0:
-            raise ParameterDomainError(f"mass-jump parameter mu must be > 0, got {spec.mu}")
         return _lift(np.array([[spec.mu, 0.0], [0.0, 1.0 / spec.mu]], dtype=complex))
     if kind is DefectKind.FLUX:
         return np.exp(1j * np.pi * spec.phi) * np.eye(4, dtype=complex)

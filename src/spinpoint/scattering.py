@@ -38,6 +38,7 @@ __all__ = [
     "channel_index",
     "propagation",
     "transfer_to_scattering",
+    "scattering_stack",
     "closed_form_flip_smatrix",
     "closed_form_to_grouped",
     "channel_probabilities",
@@ -72,7 +73,11 @@ def channel_index(channel: int | str) -> int:
 
 @dataclass(eq=False)
 class ScatteringMatrix:
-    """Unitary 4x4 map from incoming to outgoing channel amplitudes."""
+    """Unitary 4x4 map from incoming to outgoing channel amplitudes.
+
+    ``matrix`` may also be an (n, 4, 4) stack with ``k`` the n momenta;
+    residuals and probabilities then come per momentum.
+    """
 
     matrix: np.ndarray
     k: float
@@ -81,9 +86,13 @@ class ScatteringMatrix:
     def energy(self) -> float:
         return self.k * self.k
 
-    def unitarity_residual(self) -> float:
+    def unitarity_residual(self):
+        """Max-abs entry of S^dag S - 1; an array for a stack of matrices."""
         s = self.matrix
-        return float(np.abs(s.conj().T @ s - np.eye(4)).max())
+        product = np.swapaxes(s.conj(), -1, -2) @ s
+        product -= np.eye(4)
+        residual = np.abs(product).max(axis=(-2, -1))
+        return float(residual) if residual.ndim == 0 else residual
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
         return self.unitarity_residual() <= tol
@@ -134,76 +143,97 @@ def propagation(k: float, length: float) -> np.ndarray:
     return out
 
 
-def _amplitude_transfer(transfer: np.ndarray, k: float) -> np.ndarray:
-    """Conjugate a boundary transfer matrix into the plane-wave amplitude basis."""
-    w = np.array([[1.0, 1.0], [1j * k, -1j * k]], dtype=complex)
-    w4 = np.kron(np.eye(2), w)
-    return np.linalg.solve(w4, transfer @ w4)
+def _amplitude_transfers(transfers: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Conjugate boundary transfers into the plane-wave amplitude basis."""
+    w4 = np.zeros((len(ks), 4, 4), dtype=complex)
+    w4[:, [0, 0, 2, 2], [0, 1, 2, 3]] = 1.0
+    w4[:, 1, 0] = w4[:, 3, 2] = 1j * ks
+    w4[:, 1, 1] = w4[:, 3, 3] = -1j * ks
+    return np.linalg.solve(w4, transfers @ w4)
 
 
-def _solve_rearrangement(amp_transfer: np.ndarray, k: float) -> np.ndarray:
-    """Express outgoing amplitudes through incoming ones.
+def _check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
+    """Raise at the first momentum whose transfer overflowed or fails M^dag F_x M = F_x.
+
+    The residual is measured relative to the squared matrix scale so that
+    opaque devices with large transfer entries are not rejected for round-off.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.abs(transfers).max(axis=(-2, -1)) ** 2)
+        product = np.swapaxes(transfers.conj(), -1, -2) @ _FORM_X @ transfers
+        product -= _FORM_X
+        residual = np.abs(product).max(axis=(-2, -1))
+    overflowed = ~np.isfinite(scale) | ~np.isfinite(residual)
+    failed = overflowed | (residual > tol * scale)
+    if failed.any():
+        i = int(np.argmax(failed))
+        k = float(ks[i])
+        if overflowed[i]:
+            raise InvalidTransferError(
+                f"transfer matrix overflowed at k={k!r}; the device is too opaque "
+                f"for the transfer-matrix route"
+            )
+        raise InvalidTransferError(
+            f"transfer does not conserve the longitudinal current at k={k!r} "
+            f"(residual {residual[i]:.3e}, scale {scale[i]:.3e})"
+        )
+
+
+def scattering_stack(
+    transfers, k_grid, *, conservation_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convert a stack of 4x4 boundary transfers, one per momentum, into S-matrices.
 
     The amplitude transfer relates (a_Lu, b_Lu, a_Ld, b_Ld) on the left to
     (b_Ru, a_Ru, b_Rd, a_Rd) on the right; moving the outgoing unknowns
-    (b_Lu, b_Ld, b_Ru, b_Rd) to one side gives a 4x4 linear system whose
-    solution is the scattering matrix in grouped channel order.
+    (b_Lu, b_Ld, b_Ru, b_Rd) to one side gives a 4x4 linear system per
+    momentum whose solution is the S-matrix in grouped channel order.
+
+    Returns the (n, 4, 4) S stack and the boolean ``singular`` mask: rows
+    whose rearrangement has a condition number above 1e12 or not finite
+    are NaN and flagged.  Raises :class:`InvalidTransferError` at the first
+    momentum whose transfer overflowed or violates longitudinal-current
+    conservation (``conservation_tol``, relative to the squared scale).
     """
-    tt = amp_transfer
-    a = np.zeros((4, 4), dtype=complex)
-    b = np.zeros((4, 4), dtype=complex)
-    a[:, 0] = -tt[:, 1]
-    a[:, 1] = -tt[:, 3]
-    a[0, 2] = 1.0
-    a[2, 3] = 1.0
-    b[:, 0] = tt[:, 0]
-    b[:, 1] = tt[:, 2]
-    b[1, 2] = -1.0
-    b[3, 3] = -1.0
+    ks = np.asarray(k_grid, dtype=float)
+    t = np.asarray(transfers, dtype=complex)
+    if ks.ndim != 1 or t.shape != (len(ks), 4, 4):
+        raise ParameterDomainError(f"need one 4x4 transfer per momentum, got {t.shape}")
+    if not np.all(ks > 0):
+        raise ParameterDomainError(f"momentum must be > 0, got {float(ks[~(ks > 0)][0])!r}")
+    _check_conservation(t, ks, conservation_tol)
+    tt = _amplitude_transfers(t, ks)
+    a = np.zeros_like(tt)
+    b = np.zeros_like(tt)
+    a[:, :, 0] = -tt[:, :, 1]
+    a[:, :, 1] = -tt[:, :, 3]
+    a[:, 0, 2] = a[:, 2, 3] = 1.0
+    b[:, :, 0] = tt[:, :, 0]
+    b[:, :, 1] = tt[:, :, 2]
+    b[:, 1, 2] = b[:, 3, 3] = -1.0
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SpectralSingularityError(k)
-    return np.linalg.solve(a, b)
+    singular = ~np.isfinite(cond) | (cond > 1e12)
+    # A batched solve fails as a whole on one singular matrix, so each
+    # singular row solves an identity instead and is blanked afterwards.
+    a[singular] = np.eye(4)
+    s = np.linalg.solve(a, b)
+    s[singular] = np.nan
+    return s, singular
 
 
 def transfer_to_scattering(
     transfer: np.ndarray, k: float, *, conservation_tol: float = 1e-10
 ) -> ScatteringMatrix:
-    """Convert a 4x4 boundary transfer matrix into a scattering matrix.
+    """Convert one 4x4 boundary transfer at momentum ``k`` > 0 into an S-matrix.
 
-    Parameters
-    ----------
-    transfer:
-        Total transfer matrix of the device at momentum ``k``.
-    k:
-        Momentum, > 0; both asymptotic sides carry the same k.
-    conservation_tol:
-        Gate on the longitudinal-current condition M^dag F_x M = F_x,
-        measured relative to the squared matrix scale so that opaque
-        devices with large transfer entries are not rejected for pure
-        round-off.
-
-    Raises
-    ------
-    InvalidTransferError
-        If the transfer violates longitudinal-current conservation.
-    SpectralSingularityError
-        If the in/out rearrangement is (numerically) singular at this k.
+    The single-momentum case of :func:`scattering_stack`, except that a
+    singular rearrangement raises :class:`SpectralSingularityError`.
     """
-    if not k > 0:
-        raise ParameterDomainError(f"momentum must be > 0, got {k}")
-    t = np.asarray(transfer, dtype=complex)
-    if t.shape != (4, 4):
-        raise ParameterDomainError(f"transfer matrix must be 4x4, got shape {t.shape}")
-    scale = max(1.0, float(np.abs(t).max()) ** 2)
-    residual = float(np.abs(t.conj().T @ _FORM_X @ t - _FORM_X).max())
-    if residual > conservation_tol * scale:
-        raise InvalidTransferError(
-            f"transfer does not conserve the longitudinal current "
-            f"(residual {residual:.3e}, scale {scale:.3e})"
-        )
-    s = _solve_rearrangement(_amplitude_transfer(t, k), k)
-    return ScatteringMatrix(matrix=s, k=float(k))
+    t = np.asarray(transfer)[None]
+    s, singular = scattering_stack(t, [k], conservation_tol=conservation_tol)
+    if singular[0]:
+        raise SpectralSingularityError(k)
+    return ScatteringMatrix(matrix=s[0], k=float(k))
 
 
 def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
@@ -250,8 +280,8 @@ def channel_probabilities(s, incident: int | str) -> np.ndarray:
 
     Squared moduli of the S-matrix column of the incident channel; the
     four entries follow the grouped channel order and sum to 1 for a
-    unitary S.
+    unitary S.  A stack of S-matrices gives one row of four per matrix.
     """
     matrix = s.matrix if isinstance(s, ScatteringMatrix) else np.asarray(s, dtype=complex)
     idx = channel_index(incident)
-    return np.abs(matrix[:, idx]) ** 2
+    return np.abs(matrix[..., :, idx]) ** 2

@@ -276,13 +276,3 @@ def test_sound_slope_massless_comb():
     )
     fit = sound_slope(best, q_window=(0.0, 0.1))
     assert fit.slope == pytest.approx(2 * math.sqrt(3), rel=5e-3)
-
-
-def test_dispersion_grid_validation():
-    comb = flip_comb(0.2)
-    with pytest.raises(ParameterDomainError):
-        dispersion(comb, [])
-    with pytest.raises(ParameterDomainError):
-        dispersion(comb, [0.0, 1.0])
-    with pytest.raises(ParameterDomainError):
-        dispersion(comb, [2.0, 1.0])

@@ -258,6 +258,24 @@ def test_main_command_mismatch_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_reports_overflowing_device(tmp_path, capsys):
+    cell = [{"kind": "x1", "x1": 20.0}, {"free": 1.0}, {"kind": "r_x4", "r": 0.3}, {"free": 0.5}]
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        make_config(
+            command="device",
+            device={"elements": cell * 100},
+            sweep={"k_min": 0.01, "k_max": 20.0, "points": 200, "spacing": "log"},
+        )
+    )
+    code = main(["device", "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: transfer matrix overflowed at k=0.01;")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

@@ -6,9 +6,11 @@ import pytest
 from spinpoint import (
     Device,
     FreeSegment,
+    InvalidTransferError,
     ParameterDomainError,
-    SpectralSingularityError,
+    PeriodicComb,
     defect_matrix,
+    dispersion,
     preset_filter,
     preset_resonator,
     propagation,
@@ -164,28 +166,49 @@ def test_spectrum_threads_match_serial():
 
 
 def test_spectrum_flags_singular_rows(monkeypatch):
-    real = device_mod._scattering.transfer_to_scattering
+    real = device_mod.total_transfer
 
-    def flaky(transfer, k, **kwargs):
-        if 1.0 < k < 2.0:
-            raise SpectralSingularityError(k)
-        return real(transfer, k, **kwargs)
+    def flaky(device, k):
+        # rank-deficient rearrangement; the gate is off because no
+        # current-conserving transfer has one
+        return np.zeros((4, 4)) if 1.0 < k < 2.0 else real(device, k)
 
-    monkeypatch.setattr(device_mod._scattering, "transfer_to_scattering", flaky)
-    table = spectrum(Device((r_flip_defect(0.2),)), np.linspace(0.5, 3.0, 11))
+    monkeypatch.setattr(device_mod, "total_transfer", flaky)
+    table = spectrum(
+        Device((r_flip_defect(0.2),)), np.linspace(0.5, 3.0, 11), conservation_tol=np.inf
+    )
     assert table.singular.any() and not table.singular.all()
     assert np.isnan(table.probabilities[table.singular]).all()
     assert not np.isnan(table.probabilities[~table.singular]).any()
 
 
-def test_spectrum_grid_validation():
-    dev = Device()
-    with pytest.raises(ParameterDomainError):
-        spectrum(dev, [])
-    with pytest.raises(ParameterDomainError):
-        spectrum(dev, [-1.0, 1.0])
-    with pytest.raises(ParameterDomainError):
-        spectrum(dev, [2.0, 1.0])
+OPAQUE_CHAIN = Device(
+    (x1_defect(20.0), FreeSegment(1.0), r_flip_defect(0.3), FreeSegment(0.5)) * 100
+)
+
+
+def test_spectrum_overflowing_transfer_raises():
+    with pytest.raises(InvalidTransferError, match=r"overflowed at k=0\.01;"):
+        spectrum(OPAQUE_CHAIN, np.geomspace(0.01, 20.0, 200))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda ks: spectrum(Device(), ks),
+        lambda ks: dispersion(PeriodicComb(Device((r_flip_defect(0.2),)), 1.0), ks),
+    ],
+    ids=["spectrum", "dispersion"],
+)
+def test_spectrum_grid_validation(sweep):
+    with pytest.raises(ParameterDomainError, match="non-empty"):
+        sweep([])
+    with pytest.raises(ParameterDomainError, match="> 0"):
+        sweep([-1.0, 1.0])
+    with pytest.raises(ParameterDomainError, match="> 0"):
+        sweep([0.0, 1.0])
+    with pytest.raises(ParameterDomainError, match="ascending"):
+        sweep([2.0, 1.0])
 
 
 def test_preset_resonator_structure():

@@ -9,6 +9,7 @@ from spinpoint import (
     CLOSED_FORM_PERMUTATION,
     InvalidTransferError,
     ParameterDomainError,
+    ScatteringMatrix,
     SpectralSingularityError,
     channel_index,
     channel_probabilities,
@@ -20,9 +21,15 @@ from spinpoint import (
     propagation,
     r_flip_defect,
     rtilde_flip_defect,
+    scattering_stack,
     transfer_to_scattering,
+    x1_defect,
 )
-from spinpoint.scattering import _solve_rearrangement
+
+# A zero transfer makes the outgoing-side system rank deficient.  No
+# current-conserving transfer does that, so tests using it switch the
+# conservation gate off with an infinite tolerance.
+SINGULAR_TRANSFER = np.zeros((4, 4), dtype=complex)
 
 k_values = st.floats(min_value=0.05, max_value=30)
 lengths = st.floats(min_value=0.0, max_value=5.0)
@@ -159,13 +166,58 @@ def test_non_conserving_transfer_rejected():
 
 
 def test_singular_rearrangement_raises():
-    # Crafted amplitude transfer whose outgoing-side system is rank deficient.
-    tt = np.zeros((4, 4), dtype=complex)
-    tt[0, 1] = 1.0
-    tt[2, 3] = 1.0
     with pytest.raises(SpectralSingularityError) as excinfo:
-        _solve_rearrangement(tt, 1.5)
+        transfer_to_scattering(SINGULAR_TRANSFER, 1.5, conservation_tol=np.inf)
     assert excinfo.value.k == 1.5
+
+
+def test_stack_flags_only_the_singular_row():
+    ks = np.array([0.3, 1.1, 1.5, 2.7, 9.0])
+    specs = [r_flip_defect(0.4), x1_defect(2.0), None, rtilde_flip_defect(-0.7), r_flip_defect(1.3)]
+    transfers = np.array(
+        [SINGULAR_TRANSFER if spec is None else defect_matrix(spec) for spec in specs]
+    )
+    s, singular = scattering_stack(transfers, ks, conservation_tol=np.inf)
+    assert singular.tolist() == [False, False, True, False, False]
+    assert np.isnan(s[2]).all()
+    for i in (0, 1, 3, 4):
+        alone = transfer_to_scattering(transfers[i], ks[i], conservation_tol=np.inf)
+        assert np.array_equal(s[i], alone.matrix)
+
+
+def test_stack_probabilities_and_residuals_match_single_matrices():
+    ks = np.geomspace(0.1, 10.0, 7)
+    transfers = np.array([defect_matrix(r_flip_defect(0.6)) @ propagation(k, 0.8) for k in ks])
+    s, _ = scattering_stack(transfers, ks)
+    stack = ScatteringMatrix(matrix=s, k=ks)
+    residuals = stack.unitarity_residual()
+    probs = channel_probabilities(stack, "left_down")
+    for i, k in enumerate(ks):
+        alone = transfer_to_scattering(transfers[i], k)
+        assert residuals[i] == alone.unitarity_residual()
+        assert np.array_equal(probs[i], alone.probabilities("left_down"))
+
+
+def test_stack_gate_raises_at_first_failing_momentum():
+    ks = np.array([0.5, 1.0, 2.0])
+    transfers = np.array([np.eye(4), 2.0 * np.eye(4), 3.0 * np.eye(4)])
+    with pytest.raises(InvalidTransferError, match=r"does not conserve.*at k=1\.0 "):
+        scattering_stack(transfers, ks)
+
+
+def test_overflowed_transfer_rejected():
+    huge = np.full((4, 4), 1e200, dtype=complex)
+    for transfer in (huge, np.full((4, 4), np.inf + 0j), np.full((4, 4), np.nan + 0j)):
+        with pytest.raises(InvalidTransferError, match=r"overflowed at k=0\.01;") as excinfo:
+            transfer_to_scattering(transfer, np.float64(0.01))
+        assert "np.float64" not in str(excinfo.value)
+
+
+def test_stack_shape_validation():
+    with pytest.raises(ParameterDomainError):
+        scattering_stack(np.zeros((2, 4, 4)), [1.0])
+    with pytest.raises(ParameterDomainError):
+        scattering_stack(np.array([np.eye(4)]), [0.0])
 
 
 def test_apply_conserves_flux():
