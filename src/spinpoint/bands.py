@@ -102,13 +102,17 @@ class BandDiagram:
         return len(self.k)
 
 
-def cell_transfer(comb: PeriodicComb, k: float) -> np.ndarray:
-    """Transfer matrix across one full period (cell plus filling segment)."""
+def cell_transfer(comb: PeriodicComb, k) -> np.ndarray:
+    """Transfer matrix across one full period (cell plus filling segment).
+
+    A scalar ``k`` gives one 4x4 matrix, an array of n momenta an
+    (n, 4, 4) stack.
+    """
     return propagation(k, comb.fill_length) @ total_transfer(comb.cell, k)
 
 
 def _match_branches(points, active, period):
-    """Assign new (q, residual, vec) points to active branches by continuity.
+    """Assign new (q, residual, vec, column) points to active branches by continuity.
 
     Minimizes total |dq| with a small eigenvector-overlap bonus so that
     branch crossings in q are resolved by the orthogonality of the two
@@ -153,9 +157,10 @@ def _match_branches(points, active, period):
 def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDiagram:
     """Compute the band diagram of a comb over a sorted positive k grid.
 
-    For each k the eigenvalues of the cell transfer are computed;
-    eigenvalues with ||lambda| - 1| < ``bloch_tol`` are propagating and
-    contribute a point (q = |arg lambda|/a, E = k^2).  Conjugate pairs are
+    The eigenvalues of the cell transfer are computed in one batched call
+    over the grid; eigenvalues with ||lambda| - 1| < ``bloch_tol`` are
+    propagating and contribute a point (q = |arg lambda|/a, E = k^2).
+    Only the stitching runs per momentum.  Conjugate pairs are
     collapsed to a single point, points are stitched into branches by
     nearest-neighbour continuity in q (ties broken by eigenvector
     overlap), and momenta where the eigenvector matrix is numerically
@@ -163,53 +168,48 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     """
     ks = check_k_grid(k_grid)
     a = comb.period
+    lam, vecs = np.linalg.eig(cell_transfer(comb, ks))
+    cond = np.linalg.cond(vecs)
+    flagged = ks[~np.isfinite(cond) | (cond > 1e8)]
+    # hypot, not np.abs: the SIMD complex abs of long arrays can differ by
+    # one ulp, and the residual decides which eigenvalue of a pair is kept
+    residual = np.abs(np.hypot(lam.real, lam.imag) - 1.0)
+    q = np.abs(np.angle(lam)) / a
 
-    rec_k, rec_q, rec_e, rec_b, rec_res = [], [], [], [], []
-    flagged = []
+    rows, cols, branch_ids = [], [], []
     active: list[dict] = []
     next_id = 0
-    for k in ks:
-        transfer = cell_transfer(comb, float(k))
-        lam, vecs = np.linalg.eig(transfer)
-        cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond > 1e8:
-            flagged.append(float(k))
-        pts = []
-        for j in range(4):
-            residual = abs(abs(lam[j]) - 1.0)
-            if residual < bloch_tol:
-                q = abs(float(np.angle(lam[j]))) / a
-                pts.append((q, residual, vecs[:, j]))
-        pts.sort(key=lambda t: t[0])
+    for i in range(len(ks)):
         merged: list[tuple] = []
-        for q, residual, vec in pts:
-            if merged and q - merged[-1][0] < 1e-9 * max(1.0, math.pi / a):
-                if residual < merged[-1][1]:
-                    merged[-1] = (q, residual, vec)
+        for j in sorted(np.flatnonzero(residual[i] < bloch_tol), key=lambda j: q[i, j]):
+            point = (q[i, j], residual[i, j], vecs[i, :, j], j)
+            if merged and q[i, j] - merged[-1][0] < 1e-9 * max(1.0, math.pi / a):
+                if residual[i, j] < merged[-1][1]:
+                    merged[-1] = point
             else:
-                merged.append((q, residual, vec))
+                merged.append(point)
         ids = _match_branches(merged, active, a)
         new_active = []
-        for (q, residual, vec), bid in zip(merged, ids):
+        for (qj, _, vec, j), bid in zip(merged, ids):
             if bid is None:
                 bid = next_id
                 next_id += 1
-            rec_k.append(float(k))
-            rec_q.append(q)
-            rec_e.append(float(k) ** 2)
-            rec_b.append(bid)
-            rec_res.append(residual)
-            new_active.append({"id": bid, "q": q, "vec": vec})
+            rows.append(i)
+            cols.append(j)
+            branch_ids.append(bid)
+            new_active.append({"id": bid, "q": qj, "vec": vec})
         active = new_active
 
+    k = ks[rows]
     return BandDiagram(
         period=a,
-        k=np.array(rec_k),
-        q=np.array(rec_q),
-        energy=np.array(rec_e),
-        branch_id=np.array(rec_b, dtype=int),
-        lambda_residual=np.array(rec_res),
-        flagged_k=tuple(flagged),
+        k=k,
+        q=q[rows, cols],
+        # libm pow, as the CSV v1 bytes were written; k * k differs by one ulp on some k
+        energy=np.float_power(k, 2),
+        branch_id=np.array(branch_ids, dtype=int),
+        lambda_residual=residual[rows, cols],
+        flagged_k=tuple(flagged.tolist()),
         metadata={"bloch_tol": bloch_tol},
     )
 

@@ -90,6 +90,8 @@ def _number(doc: dict, key: str, context: str, default=None) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} in {context} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond float range
+        raise ConfigError(f"key {key!r} in {context} must be a finite number")
     return float(value)
 
 
@@ -253,7 +255,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: Path | str) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from None
+    return parse_config(text)
 
 
 def _defect_doc(spec: DefectSpec) -> dict:
@@ -302,7 +308,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv(lines: list[str]) -> str:
+def _csv(command: str, header: str, columns) -> str:
+    """CSV v1 text: tag line, header, then one row per index of the equal-length columns."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [f"{CSV_TAG} {command}", header] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -337,15 +346,10 @@ def _run_scatter(config: RunConfig) -> str:
     ks = config.sweep.grid()
     transfers = np.broadcast_to(defect_matrix(config.defect), (len(ks), 4, 4))
     s, singular = scattering_stack(transfers, ks, conservation_tol=config.tolerances.transfer)
+    parts = np.stack([s.real, s.imag], axis=-1).reshape(len(ks), 32).T
     residuals = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
-    rows = []
-    for k, entries, residual, flag in zip(ks, s, residuals, singular):
-        fields = [_fmt(k), _fmt(k * k)]
-        for value in entries.ravel():
-            fields += [_fmt(value.real), _fmt(value.imag)]
-        fields += [_fmt(residual), str(int(flag))]
-        rows.append(",".join(fields))
-    return _csv([f"{CSV_TAG} scatter", ",".join(_scatter_columns())] + rows)
+    columns = [ks, ks * ks, *parts, residuals, singular.astype(int)]
+    return _csv("scatter", ",".join(_scatter_columns()), columns)
 
 
 def _run_device(config: RunConfig) -> str:
@@ -356,33 +360,22 @@ def _run_device(config: RunConfig) -> str:
         conservation_tol=config.tolerances.transfer,
     )
     header = "k,E,p_left_up,p_left_down,p_right_up,p_right_down,unitarity_residual,singular"
-    rows = []
-    for i in range(len(table)):
-        fields = [_fmt(table.k[i]), _fmt(table.energy[i])]
-        fields += [_fmt(p) for p in table.probabilities[i]]
-        fields.append(_fmt(table.unitarity_residual[i]))
-        fields.append(str(int(table.singular[i])))
-        rows.append(",".join(fields))
-    return _csv([f"{CSV_TAG} device", header] + rows)
+    columns = [
+        table.k,
+        table.energy,
+        *table.probabilities.T,
+        table.unitarity_residual,
+        table.singular.astype(int),
+    ]
+    return _csv("device", header, columns)
 
 
 def _run_bands(config: RunConfig) -> str:
     diagram = _bands.dispersion(
         config.comb, config.sweep.grid(), bloch_tol=config.tolerances.bloch
     )
-    rows = [
-        ",".join(
-            [
-                _fmt(diagram.k[i]),
-                _fmt(diagram.energy[i]),
-                _fmt(diagram.q[i]),
-                str(int(diagram.branch_id[i])),
-                _fmt(diagram.lambda_residual[i]),
-            ]
-        )
-        for i in range(len(diagram))
-    ]
-    return _csv([f"{CSV_TAG} bands", "k,E,q,branch_id,lambda_residual"] + rows)
+    columns = [diagram.k, diagram.energy, diagram.q, diagram.branch_id, diagram.lambda_residual]
+    return _csv("bands", "k,E,q,branch_id,lambda_residual", columns)
 
 
 def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> int:
@@ -413,8 +406,11 @@ def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> i
 
 
 def _write(out: Path | str, text: str) -> None:
-    with Path(out).open("w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with Path(out).open("w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {str(out)!r}: {exc}") from None
 
 
 def main(argv=None) -> int:

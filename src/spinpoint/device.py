@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .extensions import DefectSpec, defect_matrix, r_flip_defect, x1_defect
-from .scattering import CHANNELS, ScatteringMatrix, channel_index, propagation, scattering_stack
+from .scattering import CHANNELS, ScatteringMatrix, channel_index, check_momenta
+from .scattering import propagation, scattering_stack
 
 __all__ = [
     "FreeSegment",
@@ -73,28 +74,27 @@ class SpectrumTable:
         return len(self.k)
 
 
-def total_transfer(device: Device, k: float) -> np.ndarray:
+def total_transfer(device: Device, k) -> np.ndarray:
     """Total transfer matrix of a device at momentum k.
 
     The rightmost element's matrix ends up leftmost in the product, so the
-    result maps the boundary vector at the left end to the right end.
+    result maps the boundary vector at the left end to the right end.  A
+    scalar ``k`` gives one 4x4 matrix, an array of n momenta an (n, 4, 4)
+    stack.
     """
-    if not k > 0:
-        raise ParameterDomainError(f"momentum must be > 0, got {k}")
-    total = np.eye(4, dtype=complex)
+    ks = check_momenta(k)
+    total = np.broadcast_to(np.eye(4, dtype=complex), ks.shape + (4, 4)).copy()
     for el in device.elements:
-        m = propagation(k, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
+        m = propagation(ks, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
         total = m @ total
     return total
 
 
 def check_k_grid(k_grid) -> np.ndarray:
     """Validate a momentum grid: non-empty, 1d, positive and sorted ascending."""
-    ks = np.asarray(k_grid, dtype=float)
+    ks = check_momenta(k_grid)
     if ks.ndim != 1 or len(ks) == 0:
         raise ParameterDomainError("k grid must be a non-empty 1d array")
-    if not np.all(ks > 0):
-        raise ParameterDomainError("k grid values must be > 0")
     if np.any(np.diff(ks) < 0):
         raise ParameterDomainError("k grid must be sorted ascending")
     return ks
@@ -118,9 +118,7 @@ def spectrum(
     """
     ks = check_k_grid(k_grid)
     idx = channel_index(incident)
-    transfers = np.empty((len(ks), 4, 4), dtype=complex)
-    for i, k in enumerate(ks):
-        transfers[i] = total_transfer(device, float(k))
+    transfers = total_transfer(device, ks)
     s, singular = scattering_stack(transfers, ks, conservation_tol=conservation_tol)
     smat = ScatteringMatrix(matrix=s, k=ks)
     return SpectrumTable(

@@ -124,22 +124,29 @@ def momentum_from_energy(energy: float) -> float:
     return float(np.sqrt(energy))
 
 
-def propagation(k: float, length: float) -> np.ndarray:
+def check_momenta(k) -> np.ndarray:
+    """One momentum or an array of momenta as floats; raises at the first one not > 0."""
+    ks = np.asarray(k, dtype=float)
+    if not np.all(ks > 0):
+        raise ParameterDomainError(f"momentum must be > 0, got {float(ks[~(ks > 0)][0])!r}")
+    return ks
+
+
+def propagation(k, length: float) -> np.ndarray:
     """Transfer matrix of a free segment of the given length.
 
     Block-diagonal over spin with blocks
-    [[cos kL, sin kL / k], [-k sin kL, cos kL]]; determinant 1.
+    [[cos kL, sin kL / k], [-k sin kL, cos kL]]; determinant 1.  A scalar
+    ``k`` gives one 4x4 matrix, an array of n momenta an (n, 4, 4) stack.
     """
-    if not k > 0:
-        raise ParameterDomainError(f"momentum must be > 0, got {k}")
+    ks = check_momenta(k)
     if length < 0:
         raise ParameterDomainError(f"length must be >= 0, got {length}")
-    c = np.cos(k * length)
-    s = np.sin(k * length)
-    block = np.array([[c, s / k], [-k * s, c]], dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = block
-    out[2:, 2:] = block
+    c = np.cos(ks * length)
+    s = np.sin(ks * length)
+    block = np.stack([c, s / ks, -ks * s, c], axis=-1).reshape(ks.shape + (2, 2))
+    out = np.zeros(ks.shape + (4, 4), dtype=complex)
+    out[..., :2, :2] = out[..., 2:, 2:] = block
     return out
 
 
@@ -195,12 +202,10 @@ def scattering_stack(
     momentum whose transfer overflowed or violates longitudinal-current
     conservation (``conservation_tol``, relative to the squared scale).
     """
-    ks = np.asarray(k_grid, dtype=float)
+    ks = check_momenta(k_grid)
     t = np.asarray(transfers, dtype=complex)
     if ks.ndim != 1 or t.shape != (len(ks), 4, 4):
         raise ParameterDomainError(f"need one 4x4 transfer per momentum, got {t.shape}")
-    if not np.all(ks > 0):
-        raise ParameterDomainError(f"momentum must be > 0, got {float(ks[~(ks > 0)][0])!r}")
     _check_conservation(t, ks, conservation_tol)
     tt = _amplitude_transfers(t, ks)
     a = np.zeros_like(tt)
@@ -250,8 +255,7 @@ def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
     Unitary for every real r.  Use :func:`closed_form_to_grouped` to
     reorder into the grouped channel convention.
     """
-    if not k > 0:
-        raise ParameterDomainError(f"momentum must be > 0, got {k}")
+    check_momenta(k)
     kr = k * r
     d = kr * kr + 4.0
     t = kr * kr / d

@@ -214,6 +214,50 @@ def test_cell_eigenvalues_come_in_reciprocal_pairs():
                 assert np.abs(lam * value - 1.0).min() < 1e-10
 
 
+def test_batched_cell_transfer_equals_scalar_calls():
+    rng = np.random.default_rng(23)
+    ks = np.linspace(0.01, 15.0, 300)
+    for _ in range(4):
+        makers = (r_flip_defect, x1_defect, x4_defect)
+        cell = [makers[rng.integers(3)](rng.normal()) for _ in range(rng.integers(1, 6))]
+        cell.insert(1, FreeSegment(rng.uniform(0.1, 0.5)))
+        comb = PeriodicComb(Device(cell), rng.uniform(0.6, 2.0))
+        per_k = np.stack([cell_transfer(comb, float(k)) for k in ks])
+        assert np.array_equal(cell_transfer(comb, ks), per_k)
+
+
+def per_k_dispersion_rows(comb, ks, bloch_tol=1e-8):
+    """(k, E, q, lambda_residual) rows from one eig per momentum and Python abs."""
+    a = comb.period
+    rows = []
+    for k in ks:
+        lam = np.linalg.eig(cell_transfer(comb, float(k)))[0]
+        pts = [(abs(float(np.angle(v))) / a, abs(abs(v) - 1.0)) for v in lam]
+        pts = sorted((p for p in pts if p[1] < bloch_tol), key=lambda p: p[0])
+        merged = []
+        for q, residual in pts:
+            if merged and q - merged[-1][0] < 1e-9 * max(1.0, math.pi / a):
+                if residual < merged[-1][1]:
+                    merged[-1] = (q, residual)
+            else:
+                merged.append((q, residual))
+        rows += [(float(k), float(k) ** 2, q, float(residual)) for q, residual in merged]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "comb",
+    [flip_comb(0.5), PeriodicComb(Device((r_flip_defect(0.3), FreeSegment(0.4), x1_defect(0.7))), 1.3)],
+    ids=["flip_comb", "mixed_cell"],
+)
+def test_batched_dispersion_equals_per_k_reference(comb):
+    # on this grid k * k differs from float(k) ** 2 by one ulp on a few rows
+    ks = np.linspace(0.02, 12.0, 3000)
+    diagram = dispersion(comb, ks)
+    columns = (diagram.k, diagram.energy, diagram.q, diagram.lambda_residual)
+    assert list(zip(*(c.tolist() for c in columns))) == per_k_dispersion_rows(comb, ks)
+
+
 def test_dispersion_diagram_even_in_q_by_construction():
     diagram = dispersion(flip_comb(0.4), np.linspace(0.1, 5.0, 40))
     assert np.all(diagram.q >= 0)

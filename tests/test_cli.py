@@ -1,5 +1,6 @@
 """Config parsing, CSV output, determinism, and the console entry point."""
 
+import hashlib
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from spinpoint.cli import (
 )
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_config(**overrides):
@@ -235,6 +237,23 @@ def test_output_determinism_all_commands(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+# sha256 of the output of every example config; a changed byte in any
+# CSV (or in the check report) fails here.
+CONFIG_OUTPUT_SHA256 = {
+    "check": "e31d7cc61dd451f00bb0e8251e1589a43dcd505fcff042211c8949972286ffad",
+    "scatter": "d9e31b29aaa676c027e6b9bfcc064b9bad9805b754ce90ba18990a279bd48acd",
+    "device": "df2bf6cd6c105166226bee107c2654a55f159de6290467f69041a6403fd17425",
+    "bands": "22c52c4ec1b12cecd93ace364134bc4235715e8c2dc6955cce986fc630b7f2d2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_OUTPUT_SHA256))
+def test_example_config_output_bytes_are_pinned(command, tmp_path, capsys):
+    out = tmp_path / f"{command}.out"
+    assert main([command, "--config", str(CONFIG_DIR / f"{command}.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONFIG_OUTPUT_SHA256[command]
+
+
 def test_device_threads_do_not_change_bytes(tmp_path):
     config = parse_config(
         make_config(
@@ -281,6 +300,41 @@ def test_main_reports_config_errors(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["check", "--config", str(path)]) == 1
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("scatter", {"defect": {"kind": "r_x4", "r": 0.5}, "sweep": {"k_max": math.inf}}),
+        ("device", {"device": {"elements": [{"kind": "x1", "x1": math.nan}]}}),
+        ("device", {"device": {"elements": [{"free": math.inf}]}}),
+        ("check", {"defect": {"kind": "x1", "x1": 10**400}}),
+    ],
+    ids=["k_max_infinity", "x1_nan", "free_infinity", "x1_beyond_float"],
+)
+def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(command=command, **doc))
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key ") and err.endswith("must be a finite number\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["missing_config", "config_not_utf8", "out_dir_missing"])
+def test_main_reports_file_errors(case, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    if case == "config_not_utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif case == "out_dir_missing":
+        path.write_text(make_config(command="scatter", defect={"kind": "r_x4", "r": 0.5}))
+        out = tmp_path / "missing" / "out.csv"
+    argv = ["scatter", "--config", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ")
+    assert err.count("\n") == 1
 
 
 def test_main_happy_path(tmp_path, capsys):

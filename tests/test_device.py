@@ -11,6 +11,7 @@ from spinpoint import (
     PeriodicComb,
     defect_matrix,
     dispersion,
+    mass_jump_defect,
     preset_filter,
     preset_resonator,
     propagation,
@@ -68,6 +69,27 @@ def test_concatenation_associativity():
         k = rng.uniform(0.2, 10.0)
         expected = total_transfer(right, k) @ total_transfer(left, k)
         assert np.abs(total_transfer(joined, k) - expected).max() < 1e-11
+
+
+def random_device(rng, n):
+    elements = []
+    for _ in range(n):
+        if rng.random() < 0.4:
+            elements.append(FreeSegment(rng.uniform(0.05, 2.0)))
+        elif rng.random() < 0.2:
+            elements.append(mass_jump_defect(rng.uniform(0.5, 2.0)))
+        else:
+            make = (r_flip_defect, rtilde_flip_defect, x1_defect, x4_defect)[rng.integers(4)]
+            elements.append(make(rng.normal()))
+    return Device(elements)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 12, 40])
+def test_batched_total_transfer_equals_scalar_calls(n):
+    dev = random_device(np.random.default_rng(n), n)
+    ks = np.geomspace(0.01, 30.0, 300)
+    per_k = np.stack([total_transfer(dev, float(k)) for k in ks])
+    assert np.array_equal(total_transfer(dev, ks), per_k)
 
 
 def test_transfer_route_matches_matching_oracle():
@@ -168,10 +190,12 @@ def test_spectrum_threads_match_serial():
 def test_spectrum_flags_singular_rows(monkeypatch):
     real = device_mod.total_transfer
 
-    def flaky(device, k):
+    def flaky(device, ks):
         # rank-deficient rearrangement; the gate is off because no
         # current-conserving transfer has one
-        return np.zeros((4, 4)) if 1.0 < k < 2.0 else real(device, k)
+        transfers = real(device, ks)
+        transfers[(1.0 < ks) & (ks < 2.0)] = 0.0
+        return transfers
 
     monkeypatch.setattr(device_mod, "total_transfer", flaky)
     table = spectrum(
@@ -203,10 +227,10 @@ def test_spectrum_overflowing_transfer_raises():
 def test_spectrum_grid_validation(sweep):
     with pytest.raises(ParameterDomainError, match="non-empty"):
         sweep([])
-    with pytest.raises(ParameterDomainError, match="> 0"):
+    with pytest.raises(ParameterDomainError, match=r"> 0, got -1\.0$"):
         sweep([-1.0, 1.0])
-    with pytest.raises(ParameterDomainError, match="> 0"):
-        sweep([0.0, 1.0])
+    with pytest.raises(ParameterDomainError, match=r"> 0, got 0\.0$"):
+        sweep([1.0, 0.0, -1.0])
     with pytest.raises(ParameterDomainError, match="ascending"):
         sweep([2.0, 1.0])
 

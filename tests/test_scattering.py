@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinpoint import (
     CLOSED_FORM_PERMUTATION,
+    Device,
     InvalidTransferError,
     ParameterDomainError,
     ScatteringMatrix,
@@ -22,6 +23,7 @@ from spinpoint import (
     r_flip_defect,
     rtilde_flip_defect,
     scattering_stack,
+    total_transfer,
     transfer_to_scattering,
     x1_defect,
 )
@@ -56,6 +58,20 @@ def test_propagation_domain_errors():
         propagation(0.0, 1.0)
     with pytest.raises(ParameterDomainError):
         propagation(1.0, -0.1)
+    # on a k array the message names the first non-positive momentum
+    ks = np.array([1.0, -2.0, 0.0])
+    with pytest.raises(ParameterDomainError, match=r"> 0, got -2\.0$"):
+        propagation(ks, 1.0)
+    with pytest.raises(ParameterDomainError, match=r"> 0, got -2\.0$"):
+        total_transfer(Device((x1_defect(1.0),)), ks)
+
+
+def test_batched_propagation_equals_scalar_calls():
+    rng = np.random.default_rng(7)
+    ks = np.sort(rng.uniform(0.01, 40.0, 500))
+    for length in (0.0, *rng.uniform(0.0, 5.0, 4)):
+        per_k = np.stack([propagation(float(k), length) for k in ks])
+        assert np.array_equal(propagation(ks, length), per_k)
 
 
 @given(k=k_values, l1=lengths, l2=lengths)
