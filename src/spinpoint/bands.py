@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from .device import Device, FreeSegment, check_k_grid, total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, DefectSpec
-from .scattering import propagation
+from .scattering import check_conservation, propagation
 
 __all__ = [
     "PeriodicComb",
@@ -111,47 +111,81 @@ def cell_transfer(comb: PeriodicComb, k) -> np.ndarray:
     return propagation(k, comb.fill_length) @ total_transfer(comb.cell, k)
 
 
-def _match_branches(points, active, period):
-    """Assign new (q, residual, vec, column) points to active branches by continuity.
+def _collapse_pairs(q, residual, propagating, period):
+    """Kept eigen-columns per momentum: an (n, 4) slot table and the point count.
 
-    Minimizes total |dq| with a small eigenvector-overlap bonus so that
-    branch crossings in q are resolved by the orthogonality of the two
-    spin channels.  Returns a list aligned with ``points`` of branch ids
-    (None for a freshly opened branch).
+    Propagating columns are visited in ascending q (a stable sort, so equal
+    q keep column order).  A point within 1e-9 * max(1, pi/a) of the kept
+    point's q merges into it, and the smaller residual wins.
     """
-    if not points:
-        return []
-    if not active:
-        return [None] * len(points)
-    gate = 0.25 * math.pi / period
-    best_combo = None
-    best_score = None
-    for combo in itertools.product(range(-1, len(active)), repeat=len(points)):
+    n = len(q)
+    rows = np.arange(n)
+    order = np.argsort(np.where(propagating, q, np.inf), axis=1, kind="stable")
+    slot = np.zeros((n, 4), dtype=int)
+    m = np.zeros(n, dtype=int)
+    tol = 1e-9 * max(1.0, math.pi / period)
+    for j in order.T:
+        live = propagating[rows, j]
+        last = slot[rows, np.maximum(m - 1, 0)]
+        merge = live & (m > 0) & (q[rows, j] - q[rows, last] < tol)
+        replace = merge & (residual[rows, j] < residual[rows, last])
+        slot[replace, m[replace] - 1] = j[replace]
+        new = live & ~merge
+        slot[new, m[new]] = j[new]
+        m += new
+    return slot, m
+
+
+def _injective_maps(points: int, active: int) -> np.ndarray:
+    """Every injective partial map of points to active slots (-1: none), in product order."""
+    maps = []
+    for combo in itertools.product(range(-1, active), repeat=points):
         used = [c for c in combo if c >= 0]
-        if len(used) != len(set(used)):
+        if len(used) == len(set(used)):
+            maps.append(combo)
+    return np.array(maps, dtype=int)
+
+
+def _link_points(q, vecs, slot, m, period):
+    """Predecessor slot of each kept point at the previous momentum, or -1.
+
+    The assignment minimizes total |dq| (``gate`` for a point that opens a
+    branch, and no link may jump by more than ``gate``) minus a small
+    eigenvector-overlap bonus, so that branch crossings in q are resolved
+    by the orthogonality of the two spin channels.  It depends only on the
+    points at two consecutive momenta, so the steps are grouped by their
+    point counts and every injective map is scored for a whole group at
+    once; ``argmin`` keeps the first best map in product order.
+    """
+    n = len(q)
+    link = np.full((n, 4), -1)
+    qs = np.take_along_axis(q, slot, axis=1)
+    # |V[i-1]^H V[i]|: matmul gives the per-pair np.vdot sums bit for bit (pinned
+    # by tests/test_bands.py), and hypot the modulus, as for |lambda|
+    product = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]
+    overlap = np.hypot(product.real, product.imag)
+    gate = 0.25 * math.pi / period
+    bonus = 1e-3 * (math.pi / period)
+    steps = np.arange(1, n)
+    for points, active in set(zip(m[1:].tolist(), m[:-1].tolist())):
+        if not points or not active:
             continue
-        dq = 0.0
-        overlap = 0.0
-        feasible = True
-        for pt, c in zip(points, combo):
-            if c < 0:
-                dq += gate
-                continue
-            d = abs(pt[0] - active[c]["q"])
-            if d > gate:
-                feasible = False
-                break
-            dq += d
-            overlap += abs(np.vdot(active[c]["vec"], pt[2]))
-        if not feasible:
-            continue
-        score = dq - 1e-3 * (math.pi / period) * overlap
-        if best_score is None or score < best_score:
-            best_score = score
-            best_combo = combo
-    if best_combo is None:
-        return [None] * len(points)
-    return [active[c]["id"] if c >= 0 else None for c in best_combo]
+        i = steps[(m[1:] == points) & (m[:-1] == active)]
+        dq = np.abs(qs[i, :points, None] - qs[i - 1, None, :active])
+        ov = overlap[(i - 1)[:, None, None], slot[i - 1, None, :active], slot[i, :points, None]]
+        maps = _injective_maps(points, active)
+        total_dq = np.zeros((len(i), len(maps)))
+        total_ov = np.zeros((len(i), len(maps)))
+        feasible = np.ones((len(i), len(maps)), dtype=bool)
+        for p, c in enumerate(maps.T):
+            matched = c >= 0
+            d = dq[:, p, c]
+            total_dq += np.where(matched, d, gate)
+            feasible &= ~(matched & (d > gate))
+            total_ov += np.where(matched, ov[:, p, c], 0.0)
+        score = np.where(feasible, total_dq - bonus * total_ov, np.inf)
+        link[i, :points] = maps[np.argmin(score, axis=1)]
+    return link
 
 
 def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDiagram:
@@ -160,15 +194,24 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     The eigenvalues of the cell transfer are computed in one batched call
     over the grid; eigenvalues with ||lambda| - 1| < ``bloch_tol`` are
     propagating and contribute a point (q = |arg lambda|/a, E = k^2).
-    Only the stitching runs per momentum.  Conjugate pairs are
-    collapsed to a single point, points are stitched into branches by
-    nearest-neighbour continuity in q (ties broken by eigenvector
-    overlap), and momenta where the eigenvector matrix is numerically
-    defective are reported in ``flagged_k``.
+    Conjugate pairs are collapsed to a single point, and points are
+    stitched into branches by nearest-neighbour continuity in q with an
+    eigenvector-overlap bonus; every step of the grid is matched in one
+    batched search over the injective assignments, and of equally scored
+    assignments the first in ``itertools.product`` order wins.  A linked
+    point keeps its predecessor's branch id; every other point opens the
+    next id in (k, q) order.  Momenta where the eigenvector matrix is
+    numerically defective are reported in ``flagged_k``.  Raises
+    :class:`InvalidTransferError` at the first momentum whose cell
+    transfer overflowed.
     """
     ks = check_k_grid(k_grid)
     a = comb.period
-    lam, vecs = np.linalg.eig(cell_transfer(comb, ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        transfers = cell_transfer(comb, ks)
+    # an infinite tolerance leaves only the overflow rule of the current gate
+    check_conservation(transfers, ks, np.inf)
+    lam, vecs = np.linalg.eig(transfers)
     cond = np.linalg.cond(vecs)
     flagged = ks[~np.isfinite(cond) | (cond > 1e8)]
     # hypot, not np.abs: the SIMD complex abs of long arrays can differ by
@@ -176,29 +219,19 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     residual = np.abs(np.hypot(lam.real, lam.imag) - 1.0)
     q = np.abs(np.angle(lam)) / a
 
-    rows, cols, branch_ids = [], [], []
-    active: list[dict] = []
-    next_id = 0
-    for i in range(len(ks)):
-        merged: list[tuple] = []
-        for j in sorted(np.flatnonzero(residual[i] < bloch_tol), key=lambda j: q[i, j]):
-            point = (q[i, j], residual[i, j], vecs[i, :, j], j)
-            if merged and q[i, j] - merged[-1][0] < 1e-9 * max(1.0, math.pi / a):
-                if residual[i, j] < merged[-1][1]:
-                    merged[-1] = point
-            else:
-                merged.append(point)
-        ids = _match_branches(merged, active, a)
-        new_active = []
-        for (qj, _, vec, j), bid in zip(merged, ids):
-            if bid is None:
-                bid = next_id
-                next_id += 1
-            rows.append(i)
-            cols.append(j)
-            branch_ids.append(bid)
-            new_active.append({"id": bid, "q": qj, "vec": vec})
-        active = new_active
+    slot, m = _collapse_pairs(q, residual, residual < bloch_tol, a)
+    link = _link_points(q, vecs, slot, m, a)
+    rows, slots = np.nonzero(np.arange(4) < m[:, None])
+    cols = slot[rows, slots]
+    # each point's flat index, and its predecessor's (itself where it opens a branch)
+    first = np.cumsum(m) - m
+    linked = link[rows, slots]
+    head = np.where(linked >= 0, first[rows - 1] + linked, np.arange(len(rows)))
+    # pointer jumping: every point reaches the first point of its branch in
+    # log2(branch length) rounds
+    while not np.array_equal(jumped := head[head], head):
+        head = jumped
+    opens = head == np.arange(len(rows))
 
     k = ks[rows]
     return BandDiagram(
@@ -207,7 +240,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
         q=q[rows, cols],
         # libm pow, as the CSV v1 bytes were written; k * k differs by one ulp on some k
         energy=np.float_power(k, 2),
-        branch_id=np.array(branch_ids, dtype=int),
+        branch_id=(np.cumsum(opens) - 1)[head],
         lambda_residual=residual[rows, cols],
         flagged_k=tuple(flagged.tolist()),
         metadata={"bloch_tol": bloch_tol},

@@ -159,11 +159,13 @@ def _amplitude_transfers(transfers: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return np.linalg.solve(w4, transfers @ w4)
 
 
-def _check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
+def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
     """Raise at the first momentum whose transfer overflowed or fails M^dag F_x M = F_x.
 
     The residual is measured relative to the squared matrix scale so that
     opaque devices with large transfer entries are not rejected for round-off.
+    A transfer has overflowed when that scale or the residual is not finite;
+    ``tol=np.inf`` applies this overflow rule alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.abs(transfers).max(axis=(-2, -1)) ** 2)
@@ -206,7 +208,7 @@ def scattering_stack(
     t = np.asarray(transfers, dtype=complex)
     if ks.ndim != 1 or t.shape != (len(ks), 4, 4):
         raise ParameterDomainError(f"need one 4x4 transfer per momentum, got {t.shape}")
-    _check_conservation(t, ks, conservation_tol)
+    check_conservation(t, ks, conservation_tol)
     tt = _amplitude_transfers(t, ks)
     a = np.zeros_like(tt)
     b = np.zeros_like(tt)

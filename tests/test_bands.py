@@ -1,14 +1,18 @@
 """Band structure: cell transfer, dispersion, spin decoupling, scalar oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpoint import (
     Device,
     FitWindowError,
     FreeSegment,
+    InvalidTransferError,
     ParameterDomainError,
     PeriodicComb,
     ScalarComb,
@@ -18,9 +22,11 @@ from spinpoint import (
     defect_matrix,
     dispersion,
     effective_mass,
+    flux_defect,
     mass_jump_defect,
     propagation,
     r_flip_defect,
+    rtilde_flip_defect,
     scalar_cell_transfer,
     scalar_dispersion,
     scalar_kp_relation,
@@ -29,6 +35,7 @@ from spinpoint import (
     x1_defect,
     x4_defect,
 )
+from spinpoint.bands import _link_points
 
 # involutive basis change to the (up +- down)/sqrt(2) spin channels
 MIX = np.array(
@@ -256,6 +263,181 @@ def test_batched_dispersion_equals_per_k_reference(comb):
     diagram = dispersion(comb, ks)
     columns = (diagram.k, diagram.energy, diagram.q, diagram.lambda_residual)
     assert list(zip(*(c.tolist() for c in columns))) == per_k_dispersion_rows(comb, ks)
+
+
+def _match_branches(points, active, period):
+    """Assign new (q, residual, vec, column) points to active branches by continuity.
+
+    Minimizes total |dq| with a small eigenvector-overlap bonus so that
+    branch crossings in q are resolved by the orthogonality of the two
+    spin channels.  Returns a list aligned with ``points`` of branch ids
+    (None for a freshly opened branch).
+    """
+    if not points:
+        return []
+    if not active:
+        return [None] * len(points)
+    gate = 0.25 * math.pi / period
+    best_combo = None
+    best_score = None
+    for combo in itertools.product(range(-1, len(active)), repeat=len(points)):
+        used = [c for c in combo if c >= 0]
+        if len(used) != len(set(used)):
+            continue
+        dq = 0.0
+        overlap = 0.0
+        feasible = True
+        for pt, c in zip(points, combo):
+            if c < 0:
+                dq += gate
+                continue
+            d = abs(pt[0] - active[c]["q"])
+            if d > gate:
+                feasible = False
+                break
+            dq += d
+            overlap += abs(np.vdot(active[c]["vec"], pt[2]))
+        if not feasible:
+            continue
+        score = dq - 1e-3 * (math.pi / period) * overlap
+        if best_score is None or score < best_score:
+            best_score = score
+            best_combo = combo
+    if best_combo is None:
+        return [None] * len(points)
+    return [active[c]["id"] if c >= 0 else None for c in best_combo]
+
+
+def per_k_diagram(comb, ks, bloch_tol=1e-8):
+    """(k, E, q, branch_id, lambda_residual) rows and flagged_k, stitched one momentum at a time."""
+    a = comb.period
+    rows, flagged = [], []
+    active = []
+    next_id = 0
+    for k in ks:
+        lam, vecs = np.linalg.eig(cell_transfer(comb, float(k)))
+        cond = np.linalg.cond(vecs)
+        if not np.isfinite(cond) or cond > 1e8:
+            flagged.append(float(k))
+        q = [abs(float(np.angle(v))) / a for v in lam]
+        residual = [abs(abs(v) - 1.0) for v in lam]
+        merged = []
+        for j in sorted((j for j in range(4) if residual[j] < bloch_tol), key=lambda j: q[j]):
+            point = (q[j], residual[j], vecs[:, j], j)
+            if merged and q[j] - merged[-1][0] < 1e-9 * max(1.0, math.pi / a):
+                if residual[j] < merged[-1][1]:
+                    merged[-1] = point
+            else:
+                merged.append(point)
+        ids = _match_branches(merged, active, a)
+        active = []
+        for (qj, res, vec, _), bid in zip(merged, ids):
+            if bid is None:
+                bid = next_id
+                next_id += 1
+            rows.append((float(k), float(k) ** 2, qj, bid, res))
+            active.append({"id": bid, "q": qj, "vec": vec})
+    return rows, tuple(flagged)
+
+
+def assert_diagram_equals_per_k_stitching(comb, ks):
+    diagram = dispersion(comb, ks)
+    rows, flagged = per_k_diagram(comb, ks)
+    columns = (diagram.k, diagram.energy, diagram.q, diagram.branch_id, diagram.lambda_residual)
+    assert list(zip(*(c.tolist() for c in columns))) == rows
+    assert diagram.branch_id.dtype == int
+    assert diagram.flagged_k == flagged
+    return diagram
+
+
+def four_point_cell():
+    # flux and x1 with a spin flip: 3-4 propagating points at most momenta
+    cell = (flux_defect(0.25), FreeSegment(0.3), x1_defect(0.6), rtilde_flip_defect(0.4))
+    return PeriodicComb(Device(cell), 1.2)
+
+
+def _points_per_k(diagram):
+    return np.unique(diagram.k, return_counts=True)[1]
+
+
+@pytest.mark.parametrize(
+    "comb,ks,check",
+    [
+        (flip_comb(0.5), np.linspace(0.02, 12.0, 3000), lambda d: len(d.branches()) > 2),
+        (
+            PeriodicComb(Device((r_flip_defect(0.3), FreeSegment(0.4), x1_defect(0.7))), 1.3),
+            np.linspace(0.02, 12.0, 3000),
+            lambda d: len(d.branches()) > 2,
+        ),
+        (
+            four_point_cell(),
+            np.linspace(0.02, 12.0, 1000),
+            lambda d: np.count_nonzero(_points_per_k(d) >= 3) > 500,
+        ),
+        (flip_comb(0.5), np.array([1.3]), lambda d: d.k.tolist() == [1.3, 1.3]),
+        (PeriodicComb(Device((x1_defect(5.0),)), 1.0), np.linspace(3.3, 3.9, 50), lambda d: len(d) == 0),
+        (
+            flip_comb(0.5),
+            np.sort(np.append(np.linspace(2.9, 3.4, 40), np.pi)),
+            lambda d: np.pi in d.flagged_k,
+        ),
+    ],
+    ids=["flip_comb", "mixed_cell", "four_points", "one_k", "gap", "k_pi"],
+)
+def test_batched_stitching_equals_per_k_stitching(comb, ks, check):
+    assert check(assert_diagram_equals_per_k_stitching(comb, ks))
+
+
+@pytest.mark.parametrize(
+    "prev_q,cur_q,expected",
+    [
+        # two points equally far from one predecessor with equal overlaps:
+        # the first assignment in itertools.product order, (-1, 0), wins
+        ([1.0], [0.75, 1.25], [-1, 0]),
+        # a jump of exactly the gate may still link
+        ([0.0], [0.25 * math.pi], [0]),
+    ],
+    ids=["tie", "gate"],
+)
+def test_link_points_breaks_ties_as_the_per_k_search(prev_q, cur_q, expected):
+    vec = np.full(4, 0.5 + 0j)
+    q = np.zeros((2, 4))
+    q[0, : len(prev_q)] = prev_q
+    q[1, : len(cur_q)] = cur_q
+    vecs = np.broadcast_to(vec[:, None], (2, 4, 4))
+    slot = np.tile(np.arange(4), (2, 1))
+    link = _link_points(q, vecs, slot, np.array([len(prev_q), len(cur_q)]), 1.0)
+    assert link[0].tolist() == [-1] * 4
+    assert link[1, : len(cur_q)].tolist() == expected
+    active = [{"id": c, "q": qc, "vec": vec} for c, qc in enumerate(prev_q)]
+    points = [(qc, 0.0, vec, j) for j, qc in enumerate(cur_q)]
+    reference = _match_branches(points, active, 1.0)
+    assert [-1 if bid is None else bid for bid in reference] == expected
+
+
+_cell_element = st.one_of(
+    st.builds(x1_defect, st.floats(min_value=-3, max_value=3)),
+    st.builds(x4_defect, st.floats(min_value=-2, max_value=2)),
+    st.builds(mass_jump_defect, st.floats(min_value=0.4, max_value=2.5)),
+    st.builds(flux_defect, st.floats(min_value=-2, max_value=2)),
+    st.builds(r_flip_defect, st.floats(min_value=-2, max_value=2)),
+    st.builds(rtilde_flip_defect, st.floats(min_value=-2, max_value=2)),
+    st.builds(FreeSegment, st.floats(min_value=0.05, max_value=0.5)),
+)
+
+
+@given(st.lists(_cell_element, min_size=1, max_size=5), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=30, deadline=None)
+def test_batched_stitching_equals_per_k_stitching_on_random_cells(cell, fill):
+    device = Device(tuple(cell))
+    comb = PeriodicComb(device, device.total_length + fill + 0.2)
+    assert_diagram_equals_per_k_stitching(comb, np.linspace(0.02, 12.0, 300))
+
+
+def test_dispersion_reports_overflowing_cell_transfer():
+    cell = Device((x1_defect(1e3), x4_defect(1e3)) * 60)
+    with pytest.raises(InvalidTransferError, match=r"overflowed at k=0\.5;"):
+        dispersion(PeriodicComb(cell, 1.0), np.linspace(0.5, 3.0, 5))
 
 
 def test_dispersion_diagram_even_in_q_by_construction():

@@ -295,6 +295,24 @@ def test_main_reports_overflowing_device(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_main_reports_overflowing_comb(tmp_path, capsys):
+    cell = [{"kind": "x1", "x1": 1e3}, {"kind": "x4", "x4": 1e3}] * 60
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        make_config(
+            command="bands",
+            comb={"period": 1.0, "cell": cell},
+            sweep={"k_min": 0.5, "k_max": 3.0, "points": 5, "spacing": "linear"},
+        )
+    )
+    code = main(["bands", "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: transfer matrix overflowed at k=0.5;")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
