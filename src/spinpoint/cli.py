@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 CSV_TAG = "# spinpoint-csv v1"
-COMMANDS = ("check", "scatter", "device", "bands")
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # longest float64 k grid numpy can size
 
 
 @dataclass(frozen=True)
@@ -132,33 +132,33 @@ def _build_element(doc, context: str):
     return _build_defect(doc, context)
 
 
+def _build_elements(doc: dict, key: str, context: str) -> Device:
+    elements = doc.get(key)
+    if not isinstance(elements, list):
+        raise ConfigError(f"key {key!r} in {context} must be a list")
+    return Device(
+        tuple(_build_element(el, f"{context}.{key}[{i}]") for i, el in enumerate(elements))
+    )
+
+
 def _build_device(doc, context: str) -> Device:
     doc = _require_mapping(doc, context)
     _check_keys(doc, {"elements"}, context)
-    elements = doc.get("elements")
-    if not isinstance(elements, list):
-        raise ConfigError(f"key 'elements' in {context} must be a list")
-    built = tuple(
-        _build_element(el, f"{context}.elements[{i}]") for i, el in enumerate(elements)
-    )
-    return Device(built)
+    return _build_elements(doc, "elements", context)
 
 
 def _build_comb(doc, context: str) -> _bands.PeriodicComb:
     doc = _require_mapping(doc, context)
     _check_keys(doc, {"period", "cell"}, context)
     period = _number(doc, "period", context, default=1.0)
-    cell = doc.get("cell", [])
-    if not isinstance(cell, list):
-        raise ConfigError(f"key 'cell' in {context} must be a list")
-    built = tuple(_build_element(el, f"{context}.cell[{i}]") for i, el in enumerate(cell))
-    return _bands.PeriodicComb(Device(built), period)
+    cell = _build_elements(doc, "cell", context) if "cell" in doc else Device(())
+    return _bands.PeriodicComb(cell, period)
 
 
 def _build_sweep(doc, context: str) -> SweepSpec:
     doc = _require_mapping(doc, context)
-    _check_keys(doc, {"k_min", "k_max", "points", "spacing"}, context)
     defaults = SweepSpec()
+    _check_keys(doc, set(asdict(defaults)), context)
     k_min = _number(doc, "k_min", context, defaults.k_min)
     k_max = _number(doc, "k_max", context, defaults.k_max)
     points = doc.get("points", defaults.points)
@@ -173,19 +173,17 @@ def _build_sweep(doc, context: str) -> SweepSpec:
         raise ConfigError(f"key 'k_min' must be < 'k_max' in {context}")
     if points < 2:
         raise ConfigError(f"key 'points' in {context} must be >= 2")
+    if points > _MAX_POINTS:
+        raise ConfigError(f"key 'points' in {context} must be <= {_MAX_POINTS}")
     return SweepSpec(k_min, k_max, points, spacing)
 
 
 def _build_tolerances(doc, context: str) -> Tolerances:
     doc = _require_mapping(doc, context)
-    _check_keys(doc, {"current", "transfer", "bloch"}, context)
-    defaults = Tolerances()
+    defaults = asdict(Tolerances())
+    _check_keys(doc, set(defaults), context)
     values = {}
-    for key, default in (
-        ("current", defaults.current),
-        ("transfer", defaults.transfer),
-        ("bloch", defaults.bloch),
-    ):
+    for key, default in defaults.items():
         value = _number(doc, key, context, default)
         if not value > 0:
             raise ConfigError(f"key {key!r} in {context} must be > 0")
@@ -193,7 +191,7 @@ def _build_tolerances(doc, context: str) -> Tolerances:
     return Tolerances(**values)
 
 
-_SECTION_FOR_COMMAND = {"check": "defect", "scatter": "defect", "device": "device", "bands": "comb"}
+_SECTIONS = {"defect": _build_defect, "device": _build_device, "comb": _build_comb}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -204,18 +202,23 @@ def parse_config(text: str) -> RunConfig:
     report line and column.
     """
     try:
-        doc = json.loads(text)
+        return _build_config(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    doc = _require_mapping(doc, "config")
+    except RecursionError:
+        raise ConfigError("config is nested too deeply") from None
 
+
+def _build_config(doc) -> RunConfig:
+    doc = _require_mapping(doc, "config")
     if "schema_version" not in doc:
         raise ConfigError("missing required key 'schema_version' in config")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported schema_version {doc['schema_version']!r}; this build reads {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}"
         )
     if "command" not in doc:
         raise ConfigError("missing required key 'command' in config")
@@ -223,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
 
-    section = _SECTION_FOR_COMMAND[command]
+    section = _COMMANDS[command][0]
     allowed = {"schema_version", "command", "sweep", "tolerances", section}
     if command == "device":
         allowed.add("incident")
@@ -231,26 +234,16 @@ def parse_config(text: str) -> RunConfig:
     if section not in doc:
         raise ConfigError(f"missing required key {section!r} for command {command!r}")
 
-    defect = _build_defect(doc["defect"], "defect") if section == "defect" else None
-    dev = _build_device(doc["device"], "device") if section == "device" else None
-    comb = _build_comb(doc["comb"], "comb") if section == "comb" else None
+    built = _SECTIONS[section](doc[section], section)
     sweep = _build_sweep(doc.get("sweep", {}), "sweep")
     tolerances = _build_tolerances(doc.get("tolerances", {}), "tolerances")
-
     incident = None
     if command == "device":
         incident = doc.get("incident", "left_up")
         if incident not in CHANNELS:
             raise ConfigError(f"key 'incident' must be one of {CHANNELS}, got {incident!r}")
-
     return RunConfig(
-        command=command,
-        defect=defect,
-        device=dev,
-        comb=comb,
-        sweep=sweep,
-        incident=incident,
-        tolerances=tolerances,
+        command, sweep=sweep, incident=incident, tolerances=tolerances, **{section: built}
     )
 
 
@@ -287,19 +280,10 @@ def serialize_config(config: RunConfig) -> str:
             "period": config.comb.period,
             "cell": [_element_doc(el) for el in config.comb.cell.elements],
         }
-    doc["sweep"] = {
-        "k_min": config.sweep.k_min,
-        "k_max": config.sweep.k_max,
-        "points": config.sweep.points,
-        "spacing": config.sweep.spacing,
-    }
+    doc["sweep"] = asdict(config.sweep)
     if config.incident is not None:
         doc["incident"] = config.incident
-    doc["tolerances"] = {
-        "current": config.tolerances.current,
-        "transfer": config.tolerances.transfer,
-        "bloch": config.tolerances.bloch,
-    }
+    doc["tolerances"] = asdict(config.tolerances)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -316,30 +300,19 @@ def _csv(command: str, header: str, columns) -> str:
 
 
 def _run_check(config: RunConfig) -> str:
-    matrix = defect_matrix(config.defect)
-    report = conserves_currents(matrix, tol=config.tolerances.current)
-    flags = {"X": report.x, "Y": report.y, "Z": report.z}
+    report = conserves_currents(defect_matrix(config.defect), tol=config.tolerances.current)
+    words = ["pass" if ok else "FAIL" for ok in (report.x, report.y, report.z)]
     lines = [
         "spinpoint current-conservation check",
         f"defect: {json.dumps(_defect_doc(config.defect))}",
         f"tolerance: {_fmt(report.tol)}",
+        *(
+            f"{axis}: {word} (residual {_fmt(res)})"
+            for axis, word, res in zip("XYZ", words, report.residuals)
+        ),
+        ", ".join(f"{axis}: {word}" for axis, word in zip("XYZ", words)),
     ]
-    for axis, residual in zip(("X", "Y", "Z"), report.residuals):
-        word = "pass" if flags[axis] else "FAIL"
-        lines.append(f"{axis}: {word} (residual {_fmt(residual)})")
-    lines.append(", ".join(f"{axis}: {'pass' if ok else 'FAIL'}" for axis, ok in flags.items()))
     return "\n".join(lines) + "\n"
-
-
-def _scatter_columns() -> list[str]:
-    short = {"left_up": "Lu", "left_down": "Ld", "right_up": "Ru", "right_down": "Rd"}
-    cols = ["k", "E"]
-    for out in CHANNELS:
-        for inc in CHANNELS:
-            cols.append(f"s_{short[out]}_{short[inc]}_re")
-            cols.append(f"s_{short[out]}_{short[inc]}_im")
-    cols += ["unitarity_residual", "singular"]
-    return cols
 
 
 def _run_scatter(config: RunConfig) -> str:
@@ -349,7 +322,9 @@ def _run_scatter(config: RunConfig) -> str:
     parts = np.stack([s.real, s.imag], axis=-1).reshape(len(ks), 32).T
     residuals = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
     columns = [ks, ks * ks, *parts, residuals, singular.astype(int)]
-    return _csv("scatter", ",".join(_scatter_columns()), columns)
+    short = ("Lu", "Ld", "Ru", "Rd")  # CHANNELS, abbreviated
+    names = [f"s_{out}_{inc}_{part}" for out in short for inc in short for part in ("re", "im")]
+    return _csv("scatter", ",".join(["k", "E", *names, "unitarity_residual", "singular"]), columns)
 
 
 def _run_device(config: RunConfig) -> str:
@@ -378,29 +353,28 @@ def _run_bands(config: RunConfig) -> str:
     return _csv("bands", "k,E,q,branch_id,lambda_residual", columns)
 
 
+_COMMANDS = {
+    "check": ("defect", _run_check, "current-conservation report for a defect"),
+    "scatter": ("defect", _run_scatter, "S-matrix sweep for a single defect"),
+    "device": ("device", _run_device, "transmission/reflection spectrum of a device"),
+    "bands": ("comb", _run_bands, "Bloch band diagram of a periodic comb"),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> int:
     """Execute a validated config; write CSV/report to ``out`` or stdout.
 
-    ``threads`` is accepted for compatibility and ignored: every sweep is
-    one batched computation.
+    The ``check`` report always goes to stdout, and to ``out`` as well when
+    one is given.  ``threads`` is accepted for compatibility and ignored:
+    every sweep is one batched computation.
     """
-    if config.command == "check":
-        text = _run_check(config)
-        sys.stdout.write(text)
-        if out is not None:
-            _write(out, text)
-        return 0
-    if config.command == "scatter":
-        text = _run_scatter(config)
-    elif config.command == "device":
-        text = _run_device(config)
-    elif config.command == "bands":
-        text = _run_bands(config)
-    else:  # pragma: no cover - parse_config rejects unknown commands
+    if config.command not in _COMMANDS:  # pragma: no cover - parse_config rejects these
         raise ConfigError(f"unknown command {config.command!r}")
-    if out is None:
+    text = _COMMANDS[config.command][1](config)
+    if out is None or config.command == "check":
         sys.stdout.write(text)
-    else:
+    if out is not None:
         _write(out, text)
     return 0
 
@@ -419,12 +393,7 @@ def main(argv=None) -> int:
         description="1D spin-1/2 transport through point interactions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("check", "current-conservation report for a defect"),
-        ("scatter", "S-matrix sweep for a single defect"),
-        ("device", "transmission/reflection spectrum of a device"),
-        ("bands", "Bloch band diagram of a periodic comb"),
-    ):
+    for name, (_, _, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, required=True, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
@@ -437,8 +406,8 @@ def main(argv=None) -> int:
                 f"config declares command {config.command!r} but {args.command!r} was invoked"
             )
         return run(config, out=args.out, threads=args.threads)
-    except SpinpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpinpointError, MemoryError) as exc:  # MemoryError: e.g. a k grid too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

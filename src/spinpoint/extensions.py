@@ -218,6 +218,13 @@ def current_forms() -> tuple[CurrentForm, CurrentForm, CurrentForm]:
     return _FORMS
 
 
+def current_residual(matrix: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Max-abs entry of ``M^dag F M - F``; one value per matrix of an (n, 4, 4) stack."""
+    product = np.swapaxes(matrix.conj(), -1, -2) @ form @ matrix
+    product -= form
+    return np.abs(product).max(axis=(-2, -1))
+
+
 def _lift(block: np.ndarray) -> np.ndarray:
     """Embed a spinless 2x2 boundary matrix as the same action on both spins."""
     out = np.zeros((4, 4), dtype=complex)
@@ -279,11 +286,7 @@ def conserves_currents(matrix: np.ndarray, tol: float = 1e-12) -> CurrentReport:
     if not tol > 0:
         raise ParameterDomainError(f"tolerance must be > 0, got {tol}")
     m = np.asarray(matrix, dtype=complex)
-    residuals = []
-    for form in current_forms():
-        res = float(np.abs(m.conj().T @ form.matrix @ m - form.matrix).max())
-        residuals.append(res)
-    rx, ry, rz = residuals
+    rx, ry, rz = (float(current_residual(m, form.matrix)) for form in current_forms())
     return CurrentReport(rx <= tol, ry <= tol, rz <= tol, (rx, ry, rz), tol)
 
 

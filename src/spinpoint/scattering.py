@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTransferError, ParameterDomainError, SpectralSingularityError
-from .extensions import current_forms
+from .extensions import current_forms, current_residual
 
 __all__ = [
     "CHANNELS",
@@ -88,10 +88,7 @@ class ScatteringMatrix:
 
     def unitarity_residual(self):
         """Max-abs entry of S^dag S - 1; an array for a stack of matrices."""
-        s = self.matrix
-        product = np.swapaxes(s.conj(), -1, -2) @ s
-        product -= np.eye(4)
-        residual = np.abs(product).max(axis=(-2, -1))
+        residual = current_residual(self.matrix, np.eye(4))
         return float(residual) if residual.ndim == 0 else residual
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
@@ -169,9 +166,7 @@ def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> Non
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.abs(transfers).max(axis=(-2, -1)) ** 2)
-        product = np.swapaxes(transfers.conj(), -1, -2) @ _FORM_X @ transfers
-        product -= _FORM_X
-        residual = np.abs(product).max(axis=(-2, -1))
+        residual = current_residual(transfers, _FORM_X)
     overflowed = ~np.isfinite(scale) | ~np.isfinite(residual)
     failed = overflowed | (residual > tol * scale)
     if failed.any():

@@ -93,6 +93,8 @@ def test_schema_version_required_and_checked():
         parse_config(json.dumps({"command": "check", "defect": {"kind": "x1", "x1": 1}}))
     with pytest.raises(ConfigError, match="schema_version"):
         parse_config(make_config(schema_version=99, command="check", defect={"kind": "x1", "x1": 1}))
+    with pytest.raises(ConfigError, match="schema_version True"):
+        parse_config(make_config(schema_version=True, command="check", defect={"kind": "x1", "x1": 1}))
 
 
 def test_command_section_mismatch_rejected():
@@ -120,6 +122,22 @@ def test_round_trip_all_commands():
     for text in docs:
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
+
+
+# sha256 of serialize_config(parse_config(text)) for every example config;
+# a change of key order, indentation or float text fails here.
+CONFIG_SERIALIZED_SHA256 = {
+    "check": "6b0a5aa9aae47b87c873a709de3922d8a19eadee1331e983e69e4106ae8ee9da",
+    "scatter": "942dde16cd96f7858282428ebac9716e3abd4016e4bace366227236ea479ba03",
+    "device": "5ce90c9c72b37098eda93a3f4a7c3183c9f6f92f0d042e1f4feb592692efc12d",
+    "bands": "36d34c9231f2ca6a49078f6b7c8a3dbed0bc42461eb9d6881d99ff21f654c201",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_SERIALIZED_SHA256))
+def test_example_config_serialization_bytes_are_pinned(command):
+    text = serialize_config(load_config(CONFIG_DIR / f"{command}.json"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CONFIG_SERIALIZED_SHA256[command]
 
 
 def test_check_report_content(capsys, tmp_path):
@@ -337,6 +355,56 @@ def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: key ") and err.endswith("must be a finite number\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["product_600_deep", "brackets_100000"])
+def test_main_rejects_too_deeply_nested_config(case, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if case == "brackets_100000":
+        path.write_text("[" * 100000)
+    else:
+        # json.dumps would recurse as deep as json.loads, so the text is built by hand.
+        defect = '{"kind": "product", "factors": [' * 600 + '{"kind": "x1", "x1": 1}' + "]}" * 600
+        path.write_text('{"schema_version": 1, "command": "check", "defect": ' + defect + "}")
+    assert main(["check", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config is nested too deeply\n"
+
+
+def test_sweep_points_beyond_array_size_rejected(tmp_path, capsys):
+    text = make_config(command="scatter", defect={"kind": "r_x4", "r": 0.5}, sweep={"points": 10**20})
+    with pytest.raises(ConfigError, match=r"key 'points' in sweep must be <= \d+$"):
+        parse_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["scatter", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'points' in sweep must be <= ")
+    assert err.count("\n") == 1
+
+
+NUMPY_ALLOCATION_MESSAGE = "Unable to allocate 72.8 TiB for an array"
+
+
+@pytest.mark.parametrize(
+    "exc, err",
+    [
+        (MemoryError(NUMPY_ALLOCATION_MESSAGE), f"error: {NUMPY_ALLOCATION_MESSAGE}\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy_message", "bare"],
+)
+def test_main_reports_memory_error(exc, err, tmp_path, capsys, monkeypatch):
+    def grid(*args):
+        raise exc
+
+    monkeypatch.setattr("spinpoint.device.default_k_grid", grid)
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(command="scatter", defect={"kind": "r_x4", "r": 0.5}))
+    out = tmp_path / "out.csv"
+    assert main(["scatter", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["missing_config", "config_not_utf8", "out_dir_missing"])

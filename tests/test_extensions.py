@@ -25,6 +25,7 @@ from spinpoint import (
     x3_from_phi,
     x4_defect,
 )
+from spinpoint.extensions import current_residual
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -157,6 +158,21 @@ def test_x4_lift_fails_transverse_currents():
     report = conserves_currents(defect_matrix(x4_defect(0.6)))
     assert (report.x, report.y, report.z) == (True, False, False)
     assert report.residuals[1] == pytest.approx(1.2)
+
+
+def test_current_residual_serves_one_matrix_and_a_stack():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    for form in [f.matrix for f in current_forms()] + [np.eye(4)]:
+        batched = current_residual(stack, form)
+        assert batched.shape == (6,)
+        for m, value in zip(stack, batched):
+            assert value == current_residual(m, form)
+            assert value == np.abs(m.conj().T @ form @ m - form).max()
+    for m in stack:
+        report = conserves_currents(m, tol=1.0)
+        assert report.residuals == tuple(float(current_residual(m, f.matrix)) for f in current_forms())
+        assert current_residual(m, np.eye(4)) == np.abs(m.conj().T @ m - np.eye(4)).max()
 
 
 def test_conserves_tol_validation():
