@@ -201,8 +201,9 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     assignments the first in ``itertools.product`` order wins.  A linked
     point keeps its predecessor's branch id; every other point opens the
     next id in (k, q) order.  Momenta where the eigenvector matrix is
-    numerically defective are reported in ``flagged_k``.  Raises
-    :class:`InvalidTransferError` at the first momentum whose cell
+    numerically defective (its 1-norm condition number, from the LU
+    inverse, is above 1e8 or not finite) are reported in ``flagged_k``.
+    Raises :class:`InvalidTransferError` at the first momentum whose cell
     transfer overflowed.
     """
     ks = check_k_grid(k_grid)
@@ -212,7 +213,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     # an infinite tolerance leaves only the overflow rule of the current gate
     check_conservation(transfers, ks, np.inf)
     lam, vecs = np.linalg.eig(transfers)
-    cond = np.linalg.cond(vecs)
+    cond = np.linalg.cond(vecs, 1)
     flagged = ks[~np.isfinite(cond) | (cond > 1e8)]
     # hypot, not np.abs: the SIMD complex abs of long arrays can differ by
     # one ulp, and the residual decides which eigenvalue of a pair is kept

@@ -61,6 +61,8 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One command and the section it needs; ``device`` defaults ``incident`` to left_up."""
+
     command: str
     defect: DefectSpec | None = None
     device: Device | None = None
@@ -68,6 +70,13 @@ class RunConfig:
     sweep: SweepSpec = SweepSpec()
     incident: str | None = None
     tolerances: Tolerances = Tolerances()
+
+    def __post_init__(self):
+        section = _section(self.command)
+        if getattr(self, section) is None:
+            raise ConfigError(f"missing required key {section!r} for command {self.command!r}")
+        if self.command == "device" and self.incident is None:
+            object.__setattr__(self, "incident", "left_up")
 
 
 def _require_mapping(doc, context: str) -> dict:
@@ -216,31 +225,25 @@ def _build_config(doc) -> RunConfig:
     if "schema_version" not in doc:
         raise ConfigError("missing required key 'schema_version' in config")
     version = doc["schema_version"]
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}"
         )
     if "command" not in doc:
         raise ConfigError("missing required key 'command' in config")
     command = doc["command"]
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
-
-    section = _COMMANDS[command][0]
+    section = _section(command)
     allowed = {"schema_version", "command", "sweep", "tolerances", section}
     if command == "device":
         allowed.add("incident")
     _check_keys(doc, allowed, "config")
-    if section not in doc:
-        raise ConfigError(f"missing required key {section!r} for command {command!r}")
-
-    built = _SECTIONS[section](doc[section], section)
+    built = _SECTIONS[section](doc[section], section) if section in doc else None
     sweep = _build_sweep(doc.get("sweep", {}), "sweep")
     tolerances = _build_tolerances(doc.get("tolerances", {}), "tolerances")
     incident = None
     if command == "device":
-        incident = doc.get("incident", "left_up")
-        if incident not in CHANNELS:
+        incident = doc.get("incident")
+        if incident is not None and incident not in CHANNELS:
             raise ConfigError(f"key 'incident' must be one of {CHANNELS}, got {incident!r}")
     return RunConfig(
         command, sweep=sweep, incident=incident, tolerances=tolerances, **{section: built}
@@ -362,6 +365,13 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
+def _section(command: str) -> str:
+    """The config section a command needs; raises ConfigError for an unknown command."""
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    return _COMMANDS[command][0]
+
+
 def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> int:
     """Execute a validated config; write CSV/report to ``out`` or stdout.
 
@@ -369,8 +379,6 @@ def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> i
     one is given.  ``threads`` is accepted for compatibility and ignored:
     every sweep is one batched computation.
     """
-    if config.command not in _COMMANDS:  # pragma: no cover - parse_config rejects these
-        raise ConfigError(f"unknown command {config.command!r}")
     text = _COMMANDS[config.command][1](config)
     if out is None or config.command == "check":
         sys.stdout.write(text)

@@ -83,11 +83,12 @@ def total_transfer(device: Device, k) -> np.ndarray:
     stack.
     """
     ks = check_momenta(k)
-    total = np.broadcast_to(np.eye(4, dtype=complex), ks.shape + (4, 4)).copy()
-    for el in device.elements:
+    total = np.eye(4, dtype=complex)
+    for i, el in enumerate(device.elements):
         m = propagation(ks, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
-        total = m @ total
-    return total
+        total = m @ total if i else m
+    shape = ks.shape + (4, 4)
+    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
 
 
 def check_k_grid(k_grid) -> np.ndarray:

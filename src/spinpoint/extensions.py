@@ -218,10 +218,18 @@ def current_forms() -> tuple[CurrentForm, CurrentForm, CurrentForm]:
     return _FORMS
 
 
-def current_residual(matrix: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """Max-abs entry of ``M^dag F M - F``; one value per matrix of an (n, 4, 4) stack."""
-    product = np.swapaxes(matrix.conj(), -1, -2) @ form @ matrix
-    product -= form
+def current_residual(matrix: np.ndarray, form: np.ndarray | None = None) -> np.ndarray:
+    """Max-abs entry of ``M^dag F M - F``; one value per matrix of an (n, 4, 4) stack.
+
+    ``form=None`` stands for the identity and gives ``M^dag M - 1``.
+    """
+    adjoint = np.swapaxes(matrix.conj(), -1, -2)
+    if form is None:
+        product = adjoint @ matrix
+        product[..., range(4), range(4)] -= 1.0
+    else:
+        product = adjoint @ form @ matrix
+        product -= form
     return np.abs(product).max(axis=(-2, -1))
 
 

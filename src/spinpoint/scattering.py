@@ -88,7 +88,7 @@ class ScatteringMatrix:
 
     def unitarity_residual(self):
         """Max-abs entry of S^dag S - 1; an array for a stack of matrices."""
-        residual = current_residual(self.matrix, np.eye(4))
+        residual = current_residual(self.matrix)
         return float(residual) if residual.ndim == 0 else residual
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
@@ -194,10 +194,11 @@ def scattering_stack(
     momentum whose solution is the S-matrix in grouped channel order.
 
     Returns the (n, 4, 4) S stack and the boolean ``singular`` mask: rows
-    whose rearrangement has a condition number above 1e12 or not finite
-    are NaN and flagged.  Raises :class:`InvalidTransferError` at the first
-    momentum whose transfer overflowed or violates longitudinal-current
-    conservation (``conservation_tol``, relative to the squared scale).
+    whose rearrangement has a 1-norm condition number (LU inverse) above
+    1e12 or not finite are NaN and flagged.  Raises
+    :class:`InvalidTransferError` at the first momentum whose transfer
+    overflowed or violates longitudinal-current conservation
+    (``conservation_tol``, relative to the squared scale).
     """
     ks = check_momenta(k_grid)
     t = np.asarray(transfers, dtype=complex)
@@ -213,7 +214,7 @@ def scattering_stack(
     b[:, :, 0] = tt[:, :, 0]
     b[:, :, 1] = tt[:, :, 2]
     b[:, 1, 2] = b[:, 3, 3] = -1.0
-    cond = np.linalg.cond(a)
+    cond = np.linalg.cond(a, 1)
     singular = ~np.isfinite(cond) | (cond > 1e12)
     # A batched solve fails as a whole on one singular matrix, so each
     # singular row solves an identity instead and is blanked afterwards.
@@ -229,7 +230,8 @@ def transfer_to_scattering(
     """Convert one 4x4 boundary transfer at momentum ``k`` > 0 into an S-matrix.
 
     The single-momentum case of :func:`scattering_stack`, except that a
-    singular rearrangement raises :class:`SpectralSingularityError`.
+    singular rearrangement (1-norm condition number, from the LU inverse,
+    above 1e12 or not finite) raises :class:`SpectralSingularityError`.
     """
     t = np.asarray(transfer)[None]
     s, singular = scattering_stack(t, [k], conservation_tol=conservation_tol)

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinpoint import Branch, ConfigError, ParameterDomainError, sound_slope
+from spinpoint import Branch, ConfigError, Device, FreeSegment, ParameterDomainError, sound_slope
 from spinpoint.cli import (
+    RunConfig,
     SweepSpec,
     Tolerances,
     load_config,
@@ -95,6 +96,31 @@ def test_schema_version_required_and_checked():
         parse_config(make_config(schema_version=99, command="check", defect={"kind": "x1", "x1": 1}))
     with pytest.raises(ConfigError, match="schema_version True"):
         parse_config(make_config(schema_version=True, command="check", defect={"kind": "x1", "x1": 1}))
+
+
+def test_main_rejects_float_schema_version(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(schema_version=1.0, command="check", defect={"kind": "x1", "x1": 1}))
+    assert main(["check", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unsupported schema_version 1.0; this build reads 1\n"
+
+
+def test_run_rejects_unknown_command():
+    with pytest.raises(ConfigError, match="unknown command 'plot'"):
+        run(RunConfig("plot"))
+
+
+def test_run_rejects_config_without_its_section():
+    with pytest.raises(ConfigError, match="missing required key 'defect' for command 'scatter'"):
+        run(RunConfig("scatter"))
+
+
+def test_hand_built_device_config_defaults_incident(tmp_path):
+    config = RunConfig("device", device=Device((FreeSegment(1.0),)), sweep=SweepSpec(points=3))
+    assert config.incident == "left_up"
+    assert parse_config(serialize_config(config)) == config
+    assert run(config, out=tmp_path / "out.csv") == 0
 
 
 def test_command_section_mismatch_rejected():

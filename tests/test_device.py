@@ -9,6 +9,7 @@ from spinpoint import (
     InvalidTransferError,
     ParameterDomainError,
     PeriodicComb,
+    ScatteringMatrix,
     defect_matrix,
     dispersion,
     mass_jump_defect,
@@ -17,6 +18,7 @@ from spinpoint import (
     propagation,
     r_flip_defect,
     rtilde_flip_defect,
+    scattering_stack,
     spectrum,
     total_transfer,
     transfer_to_scattering,
@@ -41,11 +43,18 @@ def test_free_segment_requires_positive_length():
 
 def test_empty_device_identity_transfer():
     assert np.array_equal(total_transfer(Device(), 2.0), np.eye(4))
+    ks = np.geomspace(0.1, 10.0, 7)
+    assert np.array_equal(total_transfer(Device(), ks), np.broadcast_to(np.eye(4), (7, 4, 4)))
 
 
 def test_single_defect_transfer():
     spec = r_flip_defect(0.8)
     assert np.array_equal(total_transfer(Device((spec,)), 1.1), defect_matrix(spec))
+    # the first element's matrix itself, with no product by the identity
+    ks = np.geomspace(0.1, 10.0, 7)
+    single = total_transfer(Device((spec,)), ks)
+    assert np.array_equal(single, np.broadcast_to(defect_matrix(spec), (7, 4, 4)))
+    assert np.array_equal(total_transfer(Device((FreeSegment(1.3),)), ks), propagation(ks, 1.3))
 
 
 def test_three_element_transfer_is_ordered_product():
@@ -209,6 +218,39 @@ def test_spectrum_flags_singular_rows(monkeypatch):
 OPAQUE_CHAIN = Device(
     (x1_defect(20.0), FreeSegment(1.0), r_flip_defect(0.3), FreeSegment(0.5)) * 100
 )
+
+
+@pytest.mark.parametrize("x1, cells", [(5.0, 30), (2.0, 60), (8.0, 20)])
+def test_one_norm_singular_rule_keeps_every_svd_flag(x1, cells, monkeypatch):
+    chain = Device((x1_defect(x1), FreeSegment(1.0), r_flip_defect(0.3), FreeSegment(0.5)) * cells)
+    ks = np.geomspace(0.01, 20.0, 200)
+    transfers = total_transfer(chain, ks)
+    s, singular = scattering_stack(transfers, ks)
+
+    # the SVD rule: 2-norm condition number of each rearranged system above 1e12
+    def svd_cond(x, p=None):
+        sv = np.linalg.svd(x, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sv[..., 0] / sv[..., -1]
+
+    tested = []
+
+    def spy(x, p=None):
+        tested.append(x.copy())
+        return svd_cond(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cond", spy)
+        s_svd, _ = scattering_stack(transfers, ks)
+    cond = svd_cond(tested[0])
+    singular_svd = ~np.isfinite(cond) | (cond > 1e12)
+
+    assert singular_svd.any()
+    assert not (singular_svd & ~singular).any()
+    # a row the 1-norm rule newly flags had already failed the unitarity gate
+    new = singular & ~singular_svd
+    assert (ScatteringMatrix(s_svd[new], ks[new]).unitarity_residual() > 1e-10).all()
+    assert np.array_equal(s[~singular], s_svd[~singular])
 
 
 def test_spectrum_overflowing_transfer_raises():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinpoint import (
     DefectKind,
@@ -173,6 +174,20 @@ def test_current_residual_serves_one_matrix_and_a_stack():
         report = conserves_currents(m, tol=1.0)
         assert report.residuals == tuple(float(current_residual(m, f.matrix)) for f in current_forms())
         assert current_residual(m, np.eye(4)) == np.abs(m.conj().T @ m - np.eye(4)).max()
+
+
+@given(
+    parts=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(16), st.just(2)), elements=finite),
+    nan_rows=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@settings(max_examples=100)
+def test_identity_residual_equals_explicit_identity_form(parts, nan_rows):
+    stack = (parts[..., 0] + 1j * parts[..., 1]).reshape(-1, 4, 4)
+    stack[np.array(nan_rows[: len(stack)])] = np.nan
+    expected = current_residual(stack, np.eye(4))
+    assert np.array_equal(current_residual(stack), expected, equal_nan=True)
+    for m, value in zip(stack, expected):
+        assert np.array_equal(current_residual(m), value, equal_nan=True)
 
 
 def test_conserves_tol_validation():
