@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bands as _bands
 from . import device as _device
-from .device import Device, FreeSegment
+from .device import Device, FreeSegment, SweepSpec, check_finite
 from .errors import ConfigError, SpinpointError
 from .extensions import PARAM_KEY, DefectKind, DefectSpec, conserves_currents, defect_matrix
 from .scattering import CHANNELS, ScatteringMatrix, scattering_stack
@@ -38,25 +38,22 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 CSV_TAG = "# spinpoint-csv v1"
-_MAX_POINTS = np.iinfo(np.intp).max // 8  # longest float64 k grid numpy can size
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    k_min: float = 0.01
-    k_max: float = 20.0
-    points: int = 1000
-    spacing: str = "log"
-
-    def grid(self) -> np.ndarray:
-        return _device.default_k_grid(self.k_min, self.k_max, self.points, self.spacing)
 
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Numerical gates of a run, each a finite number > 0 (ConfigError otherwise)."""
+
     current: float = 1e-12  # conservation check of boundary matrices
     transfer: float = 1e-10  # longitudinal-current gate on transfers
     bloch: float = 1e-8  # |lambda| = 1 band membership
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = check_finite(getattr(self, f.name), f.name, "tolerances")
+            if not value > 0:
+                raise ConfigError(f"key {f.name!r} in tolerances must be > 0")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,8 @@ class RunConfig:
             raise ConfigError(f"missing required key {section!r} for command {self.command!r}")
         if self.command == "device" and self.incident is None:
             object.__setattr__(self, "incident", "left_up")
+        if self.incident is not None and self.incident not in CHANNELS:
+            raise ConfigError(f"key 'incident' must be one of {CHANNELS}, got {self.incident!r}")
 
 
 def _require_mapping(doc, context: str) -> dict:
@@ -96,12 +95,7 @@ def _number(doc: dict, key: str, context: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in {context}")
         return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key {key!r} in {context} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond float range
-        raise ConfigError(f"key {key!r} in {context} must be a finite number")
-    return float(value)
+    return check_finite(doc[key], key, context)
 
 
 def _build_defect(doc, context: str) -> DefectSpec:
@@ -164,40 +158,11 @@ def _build_comb(doc, context: str) -> _bands.PeriodicComb:
     return _bands.PeriodicComb(cell, period)
 
 
-def _build_sweep(doc, context: str) -> SweepSpec:
+def _build_record(cls, doc, context: str):
+    """A SweepSpec or Tolerances from a JSON object; the record checks its own values."""
     doc = _require_mapping(doc, context)
-    defaults = SweepSpec()
-    _check_keys(doc, set(asdict(defaults)), context)
-    k_min = _number(doc, "k_min", context, defaults.k_min)
-    k_max = _number(doc, "k_max", context, defaults.k_max)
-    points = doc.get("points", defaults.points)
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError(f"key 'points' in {context} must be an integer")
-    spacing = doc.get("spacing", defaults.spacing)
-    if spacing not in ("linear", "log"):
-        raise ConfigError(f"key 'spacing' in {context} must be 'linear' or 'log'")
-    if not k_min > 0:
-        raise ConfigError(f"key 'k_min' in {context} must be > 0")
-    if not k_min < k_max:
-        raise ConfigError(f"key 'k_min' must be < 'k_max' in {context}")
-    if points < 2:
-        raise ConfigError(f"key 'points' in {context} must be >= 2")
-    if points > _MAX_POINTS:
-        raise ConfigError(f"key 'points' in {context} must be <= {_MAX_POINTS}")
-    return SweepSpec(k_min, k_max, points, spacing)
-
-
-def _build_tolerances(doc, context: str) -> Tolerances:
-    doc = _require_mapping(doc, context)
-    defaults = asdict(Tolerances())
-    _check_keys(doc, set(defaults), context)
-    values = {}
-    for key, default in defaults.items():
-        value = _number(doc, key, context, default)
-        if not value > 0:
-            raise ConfigError(f"key {key!r} in {context} must be > 0")
-        values[key] = value
-    return Tolerances(**values)
+    _check_keys(doc, {f.name for f in fields(cls)}, context)
+    return cls(**doc)
 
 
 _SECTIONS = {"defect": _build_defect, "device": _build_device, "comb": _build_comb}
@@ -238,13 +203,9 @@ def _build_config(doc) -> RunConfig:
         allowed.add("incident")
     _check_keys(doc, allowed, "config")
     built = _SECTIONS[section](doc[section], section) if section in doc else None
-    sweep = _build_sweep(doc.get("sweep", {}), "sweep")
-    tolerances = _build_tolerances(doc.get("tolerances", {}), "tolerances")
-    incident = None
-    if command == "device":
-        incident = doc.get("incident")
-        if incident is not None and incident not in CHANNELS:
-            raise ConfigError(f"key 'incident' must be one of {CHANNELS}, got {incident!r}")
+    sweep = _build_record(SweepSpec, doc.get("sweep", {}), "sweep")
+    tolerances = _build_record(Tolerances, doc.get("tolerances", {}), "tolerances")
+    incident = doc.get("incident")
     return RunConfig(
         command, sweep=sweep, incident=incident, tolerances=tolerances, **{section: built}
     )
@@ -372,12 +333,11 @@ def _section(command: str) -> str:
     return _COMMANDS[command][0]
 
 
-def run(config: RunConfig, out: Path | str | None = None, threads: int = 1) -> int:
+def run(config: RunConfig, out: Path | str | None = None) -> int:
     """Execute a validated config; write CSV/report to ``out`` or stdout.
 
     The ``check`` report always goes to stdout, and to ``out`` as well when
-    one is given.  ``threads`` is accepted for compatibility and ignored:
-    every sweep is one batched computation.
+    one is given.
     """
     text = _COMMANDS[config.command][1](config)
     if out is None or config.command == "check":
@@ -405,7 +365,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, required=True, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
@@ -413,7 +372,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command {config.command!r} but {args.command!r} was invoked"
             )
-        return run(config, out=args.out, threads=args.threads)
+        return run(config, out=args.out)
     except (SpinpointError, MemoryError) as exc:  # MemoryError: e.g. a k grid too large
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ConfigError, ParameterDomainError
 from .extensions import DefectSpec, defect_matrix, r_flip_defect, x1_defect
 from .scattering import CHANNELS, ScatteringMatrix, channel_index, check_momenta
 from .scattering import propagation, scattering_stack
@@ -19,8 +21,11 @@ __all__ = [
     "spectrum",
     "preset_resonator",
     "preset_filter",
+    "SweepSpec",
     "default_k_grid",
 ]
+
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # longest float64 k grid numpy can size
 
 
 @dataclass(frozen=True)
@@ -107,15 +112,13 @@ def spectrum(
     incident: int | str = "left_up",
     *,
     conservation_tol: float = 1e-10,
-    threads: int = 1,
 ) -> SpectrumTable:
     """Evaluate outgoing-channel probabilities over a momentum grid.
 
     Momenta where the in/out rearrangement is singular produce NaN
     probability rows with the ``singular`` flag set instead of failing
     the whole sweep.  The grid is converted in one batched call of
-    :func:`~spinpoint.scattering.scattering_stack`; ``threads`` is
-    accepted for compatibility and ignored.
+    :func:`~spinpoint.scattering.scattering_stack`.
     """
     ks = check_k_grid(k_grid)
     idx = channel_index(incident)
@@ -134,8 +137,6 @@ def spectrum(
 
 def preset_resonator(defect: DefectSpec, separation: float = 1.0) -> Device:
     """Two identical defects enclosing one free segment."""
-    if not separation > 0:
-        raise ParameterDomainError(f"separation must be > 0, got {separation}")
     return Device((defect, FreeSegment(separation), defect))
 
 
@@ -145,8 +146,6 @@ def preset_filter(r: float = 0.5, x1: float = 1.0, spacing: float = 1.0) -> Devi
     A plausible filter geometry, not a canonical one; every parameter is
     overridable and the chain can equally be built by hand.
     """
-    if not spacing > 0:
-        raise ParameterDomainError(f"spacing must be > 0, got {spacing}")
     return Device(
         (
             r_flip_defect(r),
@@ -158,16 +157,51 @@ def preset_filter(r: float = 0.5, x1: float = 1.0, spacing: float = 1.0) -> Devi
     )
 
 
+def check_finite(value, key: str, context: str) -> float:
+    """``value`` as a float; ConfigError unless it is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"key {key!r} in {context} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond float range
+        raise ConfigError(f"key {key!r} in {context} must be a finite number")
+    return float(value)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Log- or linearly spaced momenta in [k_min, k_max]; a bad field raises ConfigError."""
+
+    k_min: float = 0.01
+    k_max: float = 20.0
+    points: int = 1000
+    spacing: str = "log"
+
+    def __post_init__(self):
+        for key in ("k_min", "k_max"):
+            object.__setattr__(self, key, check_finite(getattr(self, key), key, "sweep"))
+        if isinstance(self.points, bool) or not isinstance(self.points, Integral):
+            raise ConfigError("key 'points' in sweep must be an integer")
+        object.__setattr__(self, "points", int(self.points))
+        if self.spacing not in ("linear", "log"):
+            raise ConfigError("key 'spacing' in sweep must be 'linear' or 'log'")
+        if not self.k_min > 0:
+            raise ConfigError("key 'k_min' in sweep must be > 0")
+        if not self.k_min < self.k_max:
+            raise ConfigError("key 'k_min' must be < 'k_max' in sweep")
+        if self.points < 2:
+            raise ConfigError("key 'points' in sweep must be >= 2")
+        if self.points > _MAX_POINTS:
+            raise ConfigError(f"key 'points' in sweep must be <= {_MAX_POINTS}")
+
+    def grid(self) -> np.ndarray:
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        return space(self.k_min, self.k_max, self.points)
+
+
 def default_k_grid(
     k_min: float = 0.01, k_max: float = 20.0, points: int = 1000, spacing: str = "log"
 ) -> np.ndarray:
-    """Default sweep grid: 1000 log-spaced momenta in [0.01, 20]."""
-    if not 0 < k_min < k_max:
-        raise ParameterDomainError(f"need 0 < k_min < k_max, got {k_min}, {k_max}")
-    if points < 2:
-        raise ParameterDomainError(f"need at least 2 grid points, got {points}")
-    if spacing == "log":
-        return np.geomspace(k_min, k_max, points)
-    if spacing == "linear":
-        return np.linspace(k_min, k_max, points)
-    raise ParameterDomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    """Grid of ``SweepSpec(k_min, k_max, points, spacing)``; bad arguments raise ConfigError.
+
+    The default is 1000 log-spaced momenta in [0.01, 20].
+    """
+    return SweepSpec(k_min, k_max, points, spacing).grid()

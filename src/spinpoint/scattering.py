@@ -23,6 +23,7 @@ mapping involves no extra phase).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,7 @@ _FORM_X = current_forms()[0].matrix
 
 
 def channel_index(channel: int | str) -> int:
-    """Resolve a channel name or index to its grouped-order index."""
+    """Resolve a channel name or integer index (numpy integers too, bools not) to its index."""
     if isinstance(channel, str):
         try:
             return CHANNELS.index(channel)
@@ -65,10 +66,13 @@ def channel_index(channel: int | str) -> int:
             raise ParameterDomainError(
                 f"unknown channel {channel!r}; expected one of {CHANNELS}"
             ) from None
-    idx = int(channel)
-    if not 0 <= idx < 4:
+    if isinstance(channel, bool) or not isinstance(channel, Integral):
+        raise ParameterDomainError(
+            f"channel must be a name in {CHANNELS} or an integer index, got {channel!r}"
+        )
+    if not 0 <= channel < 4:
         raise ParameterDomainError(f"channel index must be in 0..3, got {channel}")
-    return idx
+    return int(channel)
 
 
 @dataclass(eq=False)

@@ -116,6 +116,32 @@ def test_run_rejects_config_without_its_section():
         run(RunConfig("scatter"))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Tolerances(bloch=-1.0), r"^key 'bloch' in tolerances must be > 0$"),
+        (lambda: Tolerances(transfer=math.inf), "^key 'transfer' in tolerances must be a finite"),
+        (lambda: SweepSpec(points=2.5), r"^key 'points' in sweep must be an integer$"),
+        (lambda: SweepSpec(k_max=math.inf), "^key 'k_max' in sweep must be a finite number$"),
+        (
+            lambda: RunConfig("device", device=Device(()), incident="bogus"),
+            "^key 'incident' must be one of .*, got 'bogus'$",
+        ),
+    ],
+    ids=["tolerance_negative", "tolerance_infinite", "points_float", "k_max_infinite", "incident"],
+)
+def test_hand_built_records_check_themselves(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_hand_built_records_normalise_numbers():
+    # JSON-ready types, so serialize_config writes the same bytes as for a parsed config
+    sweep = SweepSpec(1, 5, np.int64(5))
+    assert (type(sweep.k_min), type(sweep.k_max), type(sweep.points)) == (float, float, int)
+    assert type(Tolerances(current=1).current) is float
+
+
 def test_hand_built_device_config_defaults_incident(tmp_path):
     config = RunConfig("device", device=Device((FreeSegment(1.0),)), sweep=SweepSpec(points=3))
     assert config.incident == "left_up"
@@ -298,21 +324,6 @@ def test_example_config_output_bytes_are_pinned(command, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONFIG_OUTPUT_SHA256[command]
 
 
-def test_device_threads_do_not_change_bytes(tmp_path):
-    config = parse_config(
-        make_config(
-            command="device",
-            device={"elements": [{"kind": "r_x4", "r": 0.2}, {"free": 1.0}, {"kind": "r_x4", "r": 0.2}]},
-            sweep={"k_min": 0.1, "k_max": 10.0, "points": 80},
-        )
-    )
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    run(config, out=one, threads=1)
-    run(config, out=four, threads=4)
-    assert one.read_bytes() == four.read_bytes()
-
-
 def test_main_command_mismatch_fails(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(make_config(command="check", defect={"kind": "x1", "x1": 1.0}))
@@ -383,6 +394,37 @@ def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        (
+            "bands",
+            {"comb": {"cell": []}, "tolerances": {"bloch": -1.0}},
+            "error: key 'bloch' in tolerances must be > 0\n",
+        ),
+        (
+            "scatter",
+            {"defect": {"kind": "x1", "x1": 1.0}, "tolerances": {"transfer": 0}},
+            "error: key 'transfer' in tolerances must be > 0\n",
+        ),
+        (
+            "device",
+            {"device": {"elements": []}, "incident": "bogus"},
+            "error: key 'incident' must be one of ('left_up', 'left_down', 'right_up', "
+            "'right_down'), got 'bogus'\n",
+        ),
+    ],
+    ids=["bloch_negative", "transfer_zero", "incident_unknown"],
+)
+def test_main_rejects_bad_tolerance_and_incident(command, doc, err, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(command=command, **doc))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["product_600_deep", "brackets_100000"])
 def test_main_rejects_too_deeply_nested_config(case, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -424,7 +466,7 @@ def test_main_reports_memory_error(exc, err, tmp_path, capsys, monkeypatch):
     def grid(*args):
         raise exc
 
-    monkeypatch.setattr("spinpoint.device.default_k_grid", grid)
+    monkeypatch.setattr("spinpoint.device.SweepSpec.grid", grid)
     path = tmp_path / "cfg.json"
     path.write_text(make_config(command="scatter", defect={"kind": "r_x4", "r": 0.5}))
     out = tmp_path / "out.csv"

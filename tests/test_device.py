@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from spinpoint import (
+    ConfigError,
     Device,
     FreeSegment,
     InvalidTransferError,
     ParameterDomainError,
     PeriodicComb,
     ScatteringMatrix,
+    default_k_grid,
     defect_matrix,
     dispersion,
     mass_jump_defect,
@@ -188,14 +190,6 @@ def test_spectrum_rows_sum_to_one():
     assert table.unitarity_residual[~table.singular].max() < 1e-10
 
 
-def test_spectrum_threads_match_serial():
-    dev = preset_resonator(r_flip_defect(0.3), 0.8)
-    ks = np.geomspace(0.1, 10.0, 50)
-    serial = spectrum(dev, ks, threads=1)
-    threaded = spectrum(dev, ks, threads=4)
-    assert np.array_equal(serial.probabilities, threaded.probabilities)
-
-
 def test_spectrum_flags_singular_rows(monkeypatch):
     real = device_mod.total_transfer
 
@@ -275,6 +269,12 @@ def test_spectrum_grid_validation(sweep):
         sweep([1.0, 0.0, -1.0])
     with pytest.raises(ParameterDomainError, match="ascending"):
         sweep([2.0, 1.0])
+
+
+def test_default_k_grid_checks_its_sweep():
+    assert np.array_equal(default_k_grid(0.5, 2.0, 4, "linear"), np.linspace(0.5, 2.0, 4))
+    with pytest.raises(ConfigError, match="^key 'k_max' in sweep must be a finite number$"):
+        default_k_grid(0.01, float("inf"), 5)
 
 
 def test_preset_resonator_structure():
