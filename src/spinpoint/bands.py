@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .device import Device, FreeSegment, check_k_grid, total_transfer
 from .errors import FitWindowError, ParameterDomainError
-from .extensions import DefectKind, DefectSpec
+from .extensions import DefectKind, DefectSpec, check_real
 from .scattering import check_conservation, propagation
 
 __all__ = [
@@ -55,8 +55,10 @@ class PeriodicComb:
     period: float = 1.0
 
     def __post_init__(self):
-        if not self.period > 0:
+        period = check_real(self.period, "period")
+        if not period > 0:
             raise ParameterDomainError(f"period must be > 0, got {self.period}")
+        object.__setattr__(self, "period", period)
         internal = self.cell.total_length
         if internal > self.period + 1e-12:
             raise ParameterDomainError(

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import bands as _bands
 from . import device as _device
-from .device import Device, FreeSegment, SweepSpec, check_finite
+from .device import Device, FreeSegment, SweepSpec
 from .errors import ConfigError, SpinpointError
-from .extensions import PARAM_KEY, DefectKind, DefectSpec, conserves_currents, defect_matrix
+from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_real, conserves_currents
+from .extensions import defect_matrix
 from .scattering import CHANNELS, ScatteringMatrix, scattering_stack
 
 __all__ = [
@@ -50,7 +51,7 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = check_finite(getattr(self, f.name), f.name, "tolerances")
+            value = check_real(getattr(self, f.name), f"key {f.name!r} in tolerances", ConfigError)
             if not value > 0:
                 raise ConfigError(f"key {f.name!r} in tolerances must be > 0")
             object.__setattr__(self, f.name, value)
@@ -58,7 +59,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One command and the section it needs; ``device`` defaults ``incident`` to left_up."""
+    """One command and the section it needs; ``device`` defaults ``incident`` to left_up.
+
+    Another command's section, or ``incident`` off ``device``, is an unknown key.
+    """
 
     command: str
     defect: DefectSpec | None = None
@@ -70,8 +74,19 @@ class RunConfig:
 
     def __post_init__(self):
         section = _section(self.command)
+        allowed = {section, "incident"} if self.command == "device" else {section}
+        for key in (*_SECTIONS, "incident"):
+            if key not in allowed and getattr(self, key) is not None:
+                raise ConfigError(f"unknown key {key!r} in config")
         if getattr(self, section) is None:
             raise ConfigError(f"missing required key {section!r} for command {self.command!r}")
+        types = {section: _SECTIONS[section][0], "sweep": SweepSpec, "tolerances": Tolerances}
+        for key, cls in types.items():
+            value = getattr(self, key)
+            if not isinstance(value, cls):
+                raise ConfigError(
+                    f"key {key!r} in config must be a {cls.__name__}, got {type(value).__name__}"
+                )
         if self.command == "device" and self.incident is None:
             object.__setattr__(self, "incident", "left_up")
         if self.incident is not None and self.incident not in CHANNELS:
@@ -95,7 +110,7 @@ def _number(doc: dict, key: str, context: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in {context}")
         return default
-    return check_finite(doc[key], key, context)
+    return check_real(doc[key], f"key {key!r} in {context}", ConfigError)
 
 
 def _build_defect(doc, context: str) -> DefectSpec:
@@ -165,7 +180,12 @@ def _build_record(cls, doc, context: str):
     return cls(**doc)
 
 
-_SECTIONS = {"defect": _build_defect, "device": _build_device, "comb": _build_comb}
+#: Each config section: the record it holds and the reader that builds it from JSON.
+_SECTIONS = {
+    "defect": (DefectSpec, _build_defect),
+    "device": (Device, _build_device),
+    "comb": (_bands.PeriodicComb, _build_comb),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -196,18 +216,14 @@ def _build_config(doc) -> RunConfig:
         )
     if "command" not in doc:
         raise ConfigError("missing required key 'command' in config")
-    command = doc["command"]
-    section = _section(command)
-    allowed = {"schema_version", "command", "sweep", "tolerances", section}
-    if command == "device":
-        allowed.add("incident")
+    allowed = {"schema_version", "command", "sweep", "tolerances", "incident", *_SECTIONS}
     _check_keys(doc, allowed, "config")
-    built = _SECTIONS[section](doc[section], section) if section in doc else None
+    sections = {key: build(doc[key], key) for key, (_, build) in _SECTIONS.items() if key in doc}
     sweep = _build_record(SweepSpec, doc.get("sweep", {}), "sweep")
     tolerances = _build_record(Tolerances, doc.get("tolerances", {}), "tolerances")
     incident = doc.get("incident")
     return RunConfig(
-        command, sweep=sweep, incident=incident, tolerances=tolerances, **{section: built}
+        doc["command"], sweep=sweep, incident=incident, tolerances=tolerances, **sections
     )
 
 

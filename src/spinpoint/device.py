@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError, ParameterDomainError
-from .extensions import DefectSpec, defect_matrix, r_flip_defect, x1_defect
+from .extensions import DefectSpec, check_real, defect_matrix, r_flip_defect, x1_defect
 from .scattering import CHANNELS, ScatteringMatrix, channel_index, check_momenta
 from .scattering import propagation, scattering_stack
 
@@ -35,8 +34,10 @@ class FreeSegment:
     length: float
 
     def __post_init__(self):
-        if not self.length > 0:
+        length = check_real(self.length, "free segment length")
+        if not length > 0:
             raise ParameterDomainError(f"free segment length must be > 0, got {self.length}")
+        object.__setattr__(self, "length", length)
 
 
 Element = DefectSpec | FreeSegment
@@ -115,7 +116,7 @@ def spectrum(
 ) -> SpectrumTable:
     """Evaluate outgoing-channel probabilities over a momentum grid.
 
-    Momenta where the in/out rearrangement is singular produce NaN
+    Momenta where the in/out system is singular produce NaN
     probability rows with the ``singular`` flag set instead of failing
     the whole sweep.  The grid is converted in one batched call of
     :func:`~spinpoint.scattering.scattering_stack`.
@@ -157,15 +158,6 @@ def preset_filter(r: float = 0.5, x1: float = 1.0, spacing: float = 1.0) -> Devi
     )
 
 
-def check_finite(value, key: str, context: str) -> float:
-    """``value`` as a float; ConfigError unless it is a finite real number (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"key {key!r} in {context} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond float range
-        raise ConfigError(f"key {key!r} in {context} must be a finite number")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Log- or linearly spaced momenta in [k_min, k_max]; a bad field raises ConfigError."""
@@ -177,7 +169,8 @@ class SweepSpec:
 
     def __post_init__(self):
         for key in ("k_min", "k_max"):
-            object.__setattr__(self, key, check_finite(getattr(self, key), key, "sweep"))
+            value = check_real(getattr(self, key), f"key {key!r} in sweep", ConfigError)
+            object.__setattr__(self, key, value)
         if isinstance(self.points, bool) or not isinstance(self.points, Integral):
             raise ConfigError("key 'points' in sweep must be an integer")
         object.__setattr__(self, "points", int(self.points))

@@ -14,7 +14,7 @@ class InvalidTransferError(SpinpointError, ValueError):
 
 
 class SpectralSingularityError(SpinpointError, RuntimeError):
-    """The in/out rearrangement is singular at this momentum."""
+    """The in/out system of the S-matrix is singular at this momentum."""
 
     def __init__(self, k: float, message: str | None = None):
         self.k = float(k)

@@ -26,9 +26,11 @@ quadratic forms ``J_i = Phi^dag F_i Phi`` with Hermitian 4x4 matrices
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +71,15 @@ class DefectKind(str, Enum):
     R_FLIP = "r_x4"
     RTILDE_FLIP = "rtilde_x1"
     PRODUCT = "product"
+
+
+def check_real(value, name: str, error: type[Exception] = ParameterDomainError) -> float:
+    """``value`` as a float; ``error`` unless it is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond float range
+        raise error(f"{name} must be a finite number")
+    return float(value)
 
 
 #: Name of the single parameter of each non-product kind, as a DefectSpec
@@ -118,6 +129,10 @@ class DefectSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", DefectKind(self.kind))
         object.__setattr__(self, "factors", tuple(self.factors))
+        if self.kind is not DefectKind.PRODUCT:
+            param = PARAM_KEY[self.kind]
+            name = f"parameter {param!r} of a {self.kind.value} defect"
+            object.__setattr__(self, param, check_real(getattr(self, param), name))
         if self.kind is DefectKind.MASS_JUMP and not self.mu > 0:
             raise ParameterDomainError(f"mass-jump parameter mu must be > 0, got {self.mu}")
         if self.kind is DefectKind.PRODUCT:

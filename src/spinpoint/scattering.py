@@ -18,6 +18,9 @@ source ordering (left_up, right_up, left_down, right_down); the frozen
 permutation between the two orderings is ``CLOSED_FORM_PERMUTATION`` and
 was determined by directly solving the defect's matching equations (the
 mapping involves no extra phase).
+
+A boundary transfer becomes an S-matrix through one linear system per
+momentum, written in the k-scaled boundary basis (:func:`scattering_stack`).
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ CLOSED_FORM_CHANNELS = ("left_up", "right_up", "left_down", "right_down")
 CLOSED_FORM_PERMUTATION = (0, 2, 1, 3)
 
 _FORM_X = current_forms()[0].matrix
+
+#: e^{ikx} of spin up and down in the k-scaled boundary basis; e^{-ikx} is the conjugate.
+_PLANE = np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
 
 
 def channel_index(channel: int | str) -> int:
@@ -151,15 +157,6 @@ def propagation(k, length: float) -> np.ndarray:
     return out
 
 
-def _amplitude_transfers(transfers: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Conjugate boundary transfers into the plane-wave amplitude basis."""
-    w4 = np.zeros((len(ks), 4, 4), dtype=complex)
-    w4[:, [0, 0, 2, 2], [0, 1, 2, 3]] = 1.0
-    w4[:, 1, 0] = w4[:, 3, 2] = 1j * ks
-    w4[:, 1, 1] = w4[:, 3, 3] = -1j * ks
-    return np.linalg.solve(w4, transfers @ w4)
-
-
 def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
     """Raise at the first momentum whose transfer overflowed or fails M^dag F_x M = F_x.
 
@@ -192,13 +189,15 @@ def scattering_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert a stack of 4x4 boundary transfers, one per momentum, into S-matrices.
 
-    The amplitude transfer relates (a_Lu, b_Lu, a_Ld, b_Ld) on the left to
-    (b_Ru, a_Ru, b_Rd, a_Rd) on the right; moving the outgoing unknowns
-    (b_Lu, b_Ld, b_Ru, b_Rd) to one side gives a 4x4 linear system per
-    momentum whose solution is the S-matrix in grouped channel order.
+    In the k-scaled boundary basis, T^ = D^-1 T D with D = diag(1, k, 1, k),
+    the plane waves e^{ikx} and e^{-ikx} of each spin are the constant
+    vectors p = (1, i) and q = (1, -i).  The outgoing amplitudes
+    (b_Lu, b_Ld, b_Ru, b_Rd) then solve A out = B in per momentum, with
+    A = [-T^q_up, -T^q_down, p_up, p_down] and B = [T^p_up, T^p_down, -q_up, -q_down],
+    and S = A^-1 B is the S-matrix in grouped channel order.
 
     Returns the (n, 4, 4) S stack and the boolean ``singular`` mask: rows
-    whose rearrangement has a 1-norm condition number (LU inverse) above
+    whose system A has a 1-norm condition number (LU inverse) above
     1e12 or not finite are NaN and flagged.  Raises
     :class:`InvalidTransferError` at the first momentum whose transfer
     overflowed or violates longitudinal-current conservation
@@ -209,15 +208,14 @@ def scattering_stack(
     if ks.ndim != 1 or t.shape != (len(ks), 4, 4):
         raise ParameterDomainError(f"need one 4x4 transfer per momentum, got {t.shape}")
     check_conservation(t, ks, conservation_tol)
-    tt = _amplitude_transfers(t, ks)
-    a = np.zeros_like(tt)
-    b = np.zeros_like(tt)
-    a[:, :, 0] = -tt[:, :, 1]
-    a[:, :, 1] = -tt[:, :, 3]
-    a[:, 0, 2] = a[:, 2, 3] = 1.0
-    b[:, :, 0] = tt[:, :, 0]
-    b[:, :, 1] = tt[:, :, 2]
-    b[:, 1, 2] = b[:, 3, 3] = -1.0
+    d = np.ones((len(ks), 4))
+    d[:, 1::2] = ks[:, None]
+    th = t * d[:, None, :] / d[:, :, None]  # D^-1 T D with D = diag(1, k, 1, k)
+    tp = th[:, :, 0::2] + 1j * th[:, :, 1::2]  # T p_up, T p_down
+    tq = th[:, :, 0::2] - 1j * th[:, :, 1::2]  # T q_up, T q_down
+    plane = np.broadcast_to(_PLANE, tp.shape)
+    a = np.concatenate([-tq, plane], axis=-1)
+    b = np.concatenate([tp, -plane.conj()], axis=-1)
     cond = np.linalg.cond(a, 1)
     singular = ~np.isfinite(cond) | (cond > 1e12)
     # A batched solve fails as a whole on one singular matrix, so each
@@ -234,7 +232,7 @@ def transfer_to_scattering(
     """Convert one 4x4 boundary transfer at momentum ``k`` > 0 into an S-matrix.
 
     The single-momentum case of :func:`scattering_stack`, except that a
-    singular rearrangement (1-norm condition number, from the LU inverse,
+    singular in/out system (1-norm condition number, from the LU inverse,
     above 1e12 or not finite) raises :class:`SpectralSingularityError`.
     """
     t = np.asarray(transfer)[None]

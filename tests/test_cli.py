@@ -11,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinpoint import Branch, ConfigError, Device, FreeSegment, ParameterDomainError, sound_slope
+from spinpoint import (
+    Branch,
+    ConfigError,
+    Device,
+    FreeSegment,
+    ParameterDomainError,
+    PeriodicComb,
+    sound_slope,
+    x1_defect,
+)
 from spinpoint.cli import (
     RunConfig,
     SweepSpec,
@@ -133,6 +142,40 @@ def test_run_rejects_config_without_its_section():
 def test_hand_built_records_check_themselves(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
+
+
+X1 = {"defect": x1_defect(1.0)}
+EMPTY_COMB = PeriodicComb(Device(()))
+
+
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        ("scatter", {**X1, "sweep": {"points": 5}}, "^key 'sweep' .* a SweepSpec, got dict$"),
+        ("scatter", {**X1, "tolerances": {}}, "^key 'tolerances' .* a Tolerances, got dict$"),
+        ("device", {"device": [FreeSegment(1.0)]}, "^key 'device' .* a Device, got list$"),
+        ("check", {"defect": "x1"}, "^key 'defect' in config must be a DefectSpec, got str$"),
+        ("bands", {"comb": Device(())}, "^key 'comb' .* a PeriodicComb, got Device$"),
+        ("scatter", {**X1, "incident": "left_up"}, "^unknown key 'incident' in config$"),
+        ("scatter", {**X1, "device": Device(())}, "^unknown key 'device' in config$"),
+        ("check", {**X1, "comb": EMPTY_COMB}, "^unknown key 'comb' in config$"),
+        ("bands", {"comb": EMPTY_COMB, **X1}, "^unknown key 'defect' in config$"),
+    ],
+    ids=[
+        "sweep_dict",
+        "tolerances_dict",
+        "device_list",
+        "defect_str",
+        "comb_device",
+        "scatter_incident",
+        "scatter_device",
+        "check_comb",
+        "bands_defect",
+    ],
+)
+def test_run_config_owns_its_fields_and_their_types(command, fields, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(command, **fields)
 
 
 def test_hand_built_records_normalise_numbers():
@@ -311,8 +354,8 @@ def test_output_determinism_all_commands(tmp_path):
 # CSV (or in the check report) fails here.
 CONFIG_OUTPUT_SHA256 = {
     "check": "e31d7cc61dd451f00bb0e8251e1589a43dcd505fcff042211c8949972286ffad",
-    "scatter": "d9e31b29aaa676c027e6b9bfcc064b9bad9805b754ce90ba18990a279bd48acd",
-    "device": "df2bf6cd6c105166226bee107c2654a55f159de6290467f69041a6403fd17425",
+    "scatter": "e5803781db852370f9445f65101aa7471f38d9b911f9d139165ddc8d11c6ac39",
+    "device": "07bd892794e838c0aa0375bd9b84d6462556acb7507dd703b4ad46c211ff891b",
     "bands": "22c52c4ec1b12cecd93ace364134bc4235715e8c2dc6955cce986fc630b7f2d2",
 }
 

@@ -1,11 +1,15 @@
 """Devices: transfer composition, spectra, presets, and the matching oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spinpoint import (
     ConfigError,
     Device,
+    DefectKind,
+    DefectSpec,
     FreeSegment,
     InvalidTransferError,
     ParameterDomainError,
@@ -14,6 +18,7 @@ from spinpoint import (
     default_k_grid,
     defect_matrix,
     dispersion,
+    flux_defect,
     mass_jump_defect,
     preset_filter,
     preset_resonator,
@@ -41,6 +46,38 @@ def test_free_segment_requires_positive_length():
         FreeSegment(0.0)
     with pytest.raises(ParameterDomainError):
         FreeSegment(-1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FreeSegment(math.inf),
+        lambda: FreeSegment(math.nan),
+        lambda: FreeSegment("1.0"),
+        lambda: x1_defect(math.nan),
+        lambda: mass_jump_defect(math.inf),
+        lambda: DefectSpec(DefectKind.R_FLIP, r=10**400),
+        lambda: DefectSpec(DefectKind.FLUX, phi=True),
+        lambda: DefectSpec(DefectKind.X4, x4="0.5"),
+        lambda: PeriodicComb(Device(()), period=math.inf),
+        lambda: PeriodicComb(Device(()), period=math.nan),
+    ],
+    ids=[
+        "free_inf",
+        "free_nan",
+        "free_str",
+        "x1_nan",
+        "mu_inf",
+        "r_beyond_float",
+        "phi_bool",
+        "x4_str",
+        "period_inf",
+        "period_nan",
+    ],
+)
+def test_records_reject_non_finite_parameters(build):
+    with pytest.raises(ParameterDomainError, match=r" must be a (finite )?number"):
+        build()
 
 
 def test_empty_device_identity_transfer():
@@ -109,9 +146,18 @@ def test_transfer_route_matches_matching_oracle():
         Device((rtilde_flip_defect(0.7),)),
         Device((x1_defect(0.9), FreeSegment(0.5), r_flip_defect(0.4))),
         preset_filter(),
+        Device(
+            (
+                mass_jump_defect(1.7),
+                FreeSegment(0.6),
+                flux_defect(0.3),
+                FreeSegment(1.1),
+                x4_defect(-0.8),
+            )
+        ),
     ]
     for dev in devices:
-        for k in (0.8, 2.3, 7.7):
+        for k in (0.01, 0.8, 2.3, 7.7, 20.0, 50.0):
             s_transfer = transfer_to_scattering(total_transfer(dev, k), k).matrix
             s_oracle = smatrix_by_matching(dev, k)
             assert np.abs(s_transfer - s_oracle).max() < 1e-10
@@ -214,12 +260,20 @@ OPAQUE_CHAIN = Device(
 )
 
 
-@pytest.mark.parametrize("x1, cells", [(5.0, 30), (2.0, 60), (8.0, 20)])
-def test_one_norm_singular_rule_keeps_every_svd_flag(x1, cells, monkeypatch):
+@pytest.mark.parametrize(
+    "x1, cells, count",
+    [
+        pytest.param(5.0, 30, 161, id="5.0-30"),
+        pytest.param(2.0, 60, 166, id="2.0-60"),
+        pytest.param(8.0, 20, 142, id="8.0-20"),
+    ],
+)
+def test_one_norm_singular_rule_keeps_every_svd_flag(x1, cells, count, monkeypatch):
     chain = Device((x1_defect(x1), FreeSegment(1.0), r_flip_defect(0.3), FreeSegment(0.5)) * cells)
     ks = np.geomspace(0.01, 20.0, 200)
     transfers = total_transfer(chain, ks)
     s, singular = scattering_stack(transfers, ks)
+    assert singular.sum() == count
 
     # the SVD rule: 2-norm condition number of each rearranged system above 1e12
     def svd_cond(x, p=None):
