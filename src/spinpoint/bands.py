@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .device import Device, FreeSegment, check_k_grid, total_transfer
 from .errors import FitWindowError, ParameterDomainError
@@ -256,6 +255,9 @@ class ScalarDefect:
 
     x4: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "x4", check_real(self.x4, "x4"))
+
 
 @dataclass(frozen=True)
 class ScalarComb:
@@ -266,8 +268,10 @@ class ScalarComb:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.period > 0:
+        period = check_real(self.period, "period")
+        if not period > 0:
             raise ParameterDomainError(f"period must be > 0, got {self.period}")
+        object.__setattr__(self, "period", period)
 
     @property
     def fill_length(self) -> float:
@@ -345,14 +349,38 @@ def scalar_kp_relation(x4: float, a: float, k: float) -> float:
     return math.cos(k * a) + 0.5 * x4 * k * math.sin(k * a)
 
 
+def _bisect(g, lo: float, hi: float, g_lo: float, xtol: float = 1e-13) -> float:
+    """Root of ``g`` in [lo, hi], given g(lo) = ``g_lo`` and a sign change on the bracket.
+
+    Halves the bracket until it is no wider than ``xtol`` (or spans two
+    adjacent floats) and returns its midpoint.
+    """
+    while hi - lo > xtol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def band_edges(x4: float, a: float, k_max: float, *, scan_step: float = 0.01) -> np.ndarray:
     """Band-edge momenta of the one-defect scalar comb below ``k_max``.
 
     Scans |cos(qa) candidate| - 1 with bracket step ka = ``scan_step`` and
-    refines each sign change by root bisection.
+    refines each sign change by root bisection to a bracket of 1e-13.
+    ``x4``, ``a``, ``k_max`` and ``scan_step`` must be finite, and all but
+    ``x4`` must be > 0.
     """
-    if not k_max > 0:
-        raise ParameterDomainError(f"k_max must be > 0, got {k_max}")
+    x4, a, k_max, scan_step = (
+        check_real(value, name)
+        for value, name in ((x4, "x4"), (a, "a"), (k_max, "k_max"), (scan_step, "scan_step"))
+    )
+    for name, value in (("a", a), ("k_max", k_max), ("scan_step", scan_step)):
+        if not value > 0:
+            raise ParameterDomainError(f"{name} must be > 0, got {value}")
 
     def g(k: float) -> float:
         return abs(scalar_kp_relation(x4, a, k)) - 1.0
@@ -366,7 +394,7 @@ def band_edges(x4: float, a: float, k_max: float, *, scan_step: float = 0.01) ->
         if prev_g == 0.0:
             edges.append(prev_k)
         elif prev_g * cur_g < 0:
-            edges.append(float(brentq(g, prev_k, float(k), xtol=1e-13)))
+            edges.append(_bisect(g, prev_k, float(k), prev_g))
         prev_k, prev_g = float(k), cur_g
     return np.array(edges)
 

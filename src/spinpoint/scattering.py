@@ -31,7 +31,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidTransferError, ParameterDomainError, SpectralSingularityError
-from .extensions import current_forms, current_residual
+from .extensions import check_real, current_forms, current_residual
 
 __all__ = [
     "CHANNELS",
@@ -145,9 +145,10 @@ def propagation(k, length: float) -> np.ndarray:
     Block-diagonal over spin with blocks
     [[cos kL, sin kL / k], [-k sin kL, cos kL]]; determinant 1.  A scalar
     ``k`` gives one 4x4 matrix, an array of n momenta an (n, 4, 4) stack.
+    The length must be finite and >= 0.
     """
     ks = check_momenta(k)
-    if length < 0:
+    if check_real(length, "length") < 0:
         raise ParameterDomainError(f"length must be >= 0, got {length}")
     c = np.cos(ks * length)
     s = np.sin(ks * length)

@@ -478,6 +478,62 @@ def test_band_edges_scalar_vs_eigencount():
         assert np.abs(eig_edges - scalar_edges).max() < 1e-8
 
 
+# edges from scipy.optimize.brentq(xtol=1e-13) on the same scan brackets
+PINNED_EDGES = {
+    (0.5, 1.0, 7.0): [3.141592653589793, 4.917428351999249, 6.283185307179586],
+    (-0.5, 1.0, 7.0): [2.153747972623599, 3.141592653589789, 4.5778594562068085, 6.283185307179585],
+    (3.0, 0.7, 20.0): [
+        4.018239491302005,
+        4.487989505128277,
+        8.758932416774773,
+        8.975979010256554,
+        13.32109937082118,
+        13.46396851538483,
+        17.845270000111892,
+        17.951958020513104,
+    ],
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_EDGES))
+def test_band_edges_pinned_and_on_the_band_boundary(args):
+    x4, a, _ = args
+    edges = band_edges(*args)
+    assert len(edges) == len(PINNED_EDGES[args])
+    assert np.abs(edges - PINNED_EDGES[args]).max() <= 1e-13
+    for k in edges:
+        assert abs(abs(scalar_kp_relation(x4, a, float(k))) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((0.5, 0.0, 7.0), {}, r"a must be > 0, got 0\.0"),
+        ((0.5, -1.0, 7.0), {}, r"a must be > 0, got -1\.0"),
+        ((0.5, 1.0, 0.0), {}, r"k_max must be > 0, got 0\.0"),
+        ((0.5, 1.0, 7.0), {"scan_step": 0.0}, r"scan_step must be > 0, got 0\.0"),
+        ((0.5, 1.0, math.inf), {}, r"k_max must be a finite number"),
+        ((math.nan, 1.0, 7.0), {}, r"x4 must be a finite number"),
+        ((0.5, math.nan, 7.0), {}, r"a must be a finite number"),
+        ((0.5, 1.0, 7.0), {"scan_step": math.inf}, r"scan_step must be a finite number"),
+    ],
+)
+def test_band_edges_domain_errors(args, kwargs, message):
+    with pytest.raises(ParameterDomainError, match=message):
+        band_edges(*args, **kwargs)
+
+
+def test_scalar_comb_rejects_non_finite_numbers():
+    with pytest.raises(ParameterDomainError, match="period must be a finite number"):
+        ScalarComb((), math.inf)
+    with pytest.raises(ParameterDomainError, match="x4 must be a finite number"):
+        ScalarDefect(math.nan)
+    with pytest.raises(ParameterDomainError, match="period must be > 0"):
+        ScalarComb((), 0.0)
+    comb = ScalarComb([ScalarDefect(1)], 2)
+    assert comb.period == 2.0 and comb.elements[0].x4 == 1.0
+
+
 def test_effective_mass_free_branch():
     diagram = dispersion(PeriodicComb(Device(), 1.0), np.linspace(0.01, 0.3, 40))
     (branch,) = diagram.branches()

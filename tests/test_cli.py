@@ -556,6 +556,20 @@ def test_module_invocation_subprocess(tmp_path):
     assert "X: pass, Y: pass, Z: pass" in proc.stdout
 
 
+def test_fresh_import_loads_no_scipy():
+    # every command starts a fresh interpreter; numpy is the only runtime dependency
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import spinpoint, spinpoint.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_load_config_equals_parse(tmp_path):
     text = make_config(command="check", defect={"kind": "flux", "phi": 0.5})
     path = tmp_path / "cfg.json"

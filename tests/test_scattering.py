@@ -1,5 +1,7 @@
 """Scattering matrices: propagation, rearrangement, closed form, probabilities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -56,8 +58,11 @@ def test_propagation_quarter_turn_block():
 def test_propagation_domain_errors():
     with pytest.raises(ParameterDomainError):
         propagation(0.0, 1.0)
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError, match=r"length must be >= 0, got -0\.1$"):
         propagation(1.0, -0.1)
+    for length in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterDomainError, match="length must be a finite number"):
+            propagation(np.array([1.0, 2.0]), length)
     # on a k array the message names the first non-positive momentum
     ks = np.array([1.0, -2.0, 0.0])
     with pytest.raises(ParameterDomainError, match=r"> 0, got -2\.0$"):
