@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import Device, FreeSegment, check_k_grid, total_transfer
+from .device import _MAX_POINTS, Device, FreeSegment, check_k_grid, total_transfer
 from .errors import FitWindowError, ParameterDomainError
-from .extensions import DefectKind, DefectSpec, check_real
+from .extensions import DefectKind, DefectSpec, check_positive, check_real
 from .scattering import check_conservation, propagation
 
 __all__ = [
@@ -54,10 +54,7 @@ class PeriodicComb:
     period: float = 1.0
 
     def __post_init__(self):
-        period = check_real(self.period, "period")
-        if not period > 0:
-            raise ParameterDomainError(f"period must be > 0, got {self.period}")
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "period", check_positive(self.period, "period"))
         internal = self.cell.total_length
         if internal > self.period + 1e-12:
             raise ParameterDomainError(
@@ -268,10 +265,7 @@ class ScalarComb:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        period = check_real(self.period, "period")
-        if not period > 0:
-            raise ParameterDomainError(f"period must be > 0, got {self.period}")
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "period", check_positive(self.period, "period"))
 
     @property
     def fill_length(self) -> float:
@@ -295,8 +289,8 @@ def spin_decouple(comb: PeriodicComb) -> tuple[ScalarComb, ScalarComb] | None:
             minus.append(el)
             plus.append(el)
         elif isinstance(el, DefectSpec) and el.kind is DefectKind.R_FLIP:
-            minus.append(ScalarDefect(x4=-el.r))
-            plus.append(ScalarDefect(x4=+el.r))
+            minus.append(ScalarDefect(x4=-el.value))
+            plus.append(ScalarDefect(x4=+el.value))
         else:
             return None
     return ScalarComb(tuple(minus), comb.period), ScalarComb(tuple(plus), comb.period)
@@ -310,8 +304,7 @@ def _scalar_propagation(k: float, length: float) -> np.ndarray:
 
 def scalar_cell_transfer(comb: ScalarComb, k: float) -> np.ndarray:
     """2x2 transfer across one period of a scalar comb."""
-    if not k > 0:
-        raise ParameterDomainError(f"momentum must be > 0, got {k}")
+    k = check_positive(k, "momentum")
     total = np.eye(2)
     for el in comb.elements:
         if isinstance(el, FreeSegment):
@@ -342,11 +335,11 @@ def scalar_kp_relation(x4: float, a: float, k: float) -> float:
     """cos(qa) candidate for a one-defect-per-period value-jump comb.
 
     Returns cos(ka) + (x4*k/2)*sin(ka); k propagates iff the value lies
-    in [-1, 1].
+    in [-1, 1].  ``x4`` must be finite, and ``a`` and ``k`` finite and > 0.
     """
-    if not k > 0:
-        raise ParameterDomainError(f"momentum must be > 0, got {k}")
-    return math.cos(k * a) + 0.5 * x4 * k * math.sin(k * a)
+    x4, a, k = check_real(x4, "x4"), check_positive(a, "a"), check_positive(k, "momentum")
+    ka = check_real(k * a, "k * a")
+    return math.cos(ka) + 0.5 * x4 * k * math.sin(ka)
 
 
 def _bisect(g, lo: float, hi: float, g_lo: float, xtol: float = 1e-13) -> float:
@@ -372,15 +365,15 @@ def band_edges(x4: float, a: float, k_max: float, *, scan_step: float = 0.01) ->
     Scans |cos(qa) candidate| - 1 with bracket step ka = ``scan_step`` and
     refines each sign change by root bisection to a bracket of 1e-13.
     ``x4``, ``a``, ``k_max`` and ``scan_step`` must be finite, and all but
-    ``x4`` must be > 0.
+    ``x4`` must be > 0; the scan may hold no more points than a k grid.
     """
-    x4, a, k_max, scan_step = (
-        check_real(value, name)
-        for value, name in ((x4, "x4"), (a, "a"), (k_max, "k_max"), (scan_step, "scan_step"))
+    x4 = check_real(x4, "x4")
+    a, k_max, scan_step = (
+        check_positive(value, name)
+        for value, name in ((a, "a"), (k_max, "k_max"), (scan_step, "scan_step"))
     )
-    for name, value in (("a", a), ("k_max", k_max), ("scan_step", scan_step)):
-        if not value > 0:
-            raise ParameterDomainError(f"{name} must be > 0, got {value}")
+    if not k_max * a / scan_step <= _MAX_POINTS:
+        raise ParameterDomainError(f"k_max * a / scan_step must be <= {_MAX_POINTS}")
 
     def g(k: float) -> float:
         return abs(scalar_kp_relation(x4, a, k)) - 1.0

@@ -135,8 +135,7 @@ def _build_defect(doc, context: str) -> DefectSpec:
         return DefectSpec(DefectKind.PRODUCT, factors=built)
     param = PARAM_KEY[kind]
     _check_keys(doc, {"kind", param}, context)
-    value = _number(doc, param, context)
-    return DefectSpec(kind, **{param: value})
+    return DefectSpec(kind, _number(doc, param, context))
 
 
 def _build_element(doc, context: str):
@@ -238,8 +237,7 @@ def load_config(path: Path | str) -> RunConfig:
 def _defect_doc(spec: DefectSpec) -> dict:
     if spec.kind is DefectKind.PRODUCT:
         return {"kind": "product", "factors": [_defect_doc(f) for f in spec.factors]}
-    param = PARAM_KEY[spec.kind]
-    return {"kind": spec.kind.value, param: getattr(spec, param)}
+    return {"kind": spec.kind.value, PARAM_KEY[spec.kind]: spec.value}
 
 
 def _element_doc(el) -> dict:

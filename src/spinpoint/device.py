@@ -8,7 +8,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError, ParameterDomainError
-from .extensions import DefectSpec, check_real, defect_matrix, r_flip_defect, x1_defect
+from .extensions import DefectSpec, check_positive, check_real, defect_matrix
+from .extensions import r_flip_defect, x1_defect
 from .scattering import CHANNELS, ScatteringMatrix, channel_index, check_momenta
 from .scattering import propagation, scattering_stack
 
@@ -34,10 +35,7 @@ class FreeSegment:
     length: float
 
     def __post_init__(self):
-        length = check_real(self.length, "free segment length")
-        if not length > 0:
-            raise ParameterDomainError(f"free segment length must be > 0, got {self.length}")
-        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "length", check_positive(self.length, "free segment length"))
 
 
 Element = DefectSpec | FreeSegment

@@ -27,7 +27,7 @@ quadratic forms ``J_i = Phi^dag F_i Phi`` with Hermitian 4x4 matrices
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from numbers import Real
@@ -82,8 +82,15 @@ def check_real(value, name: str, error: type[Exception] = ParameterDomainError) 
     return float(value)
 
 
-#: Name of the single parameter of each non-product kind, as a DefectSpec
-#: field and as a config key.
+def check_positive(value, name: str) -> float:
+    """``value`` as a float; ParameterDomainError unless it is a finite real number > 0."""
+    value = check_real(value, name)
+    if not value > 0:
+        raise ParameterDomainError(f"{name} must be > 0, got {value}")
+    return value
+
+
+#: Config key of the single parameter of each non-product kind.
 PARAM_KEY = {
     DefectKind.X1: "x1",
     DefectKind.X4: "x4",
@@ -98,10 +105,12 @@ PARAM_KEY = {
 class DefectSpec:
     """Symbolic description of one point interaction.
 
-    Only the parameter matching ``kind`` is meaningful:
+    Every non-product kind is a one-parameter family; ``value`` is that
+    parameter (config key ``PARAM_KEY[kind]``) and must be a finite real
+    number:
 
     ==============  =========  =======================================
-    kind            parameter  physical content
+    kind            value      physical content
     ==============  =========  =======================================
     X1              x1         derivative jump ~ value (delta barrier)
     X4              x4         value jump ~ derivative
@@ -109,70 +118,67 @@ class DefectSpec:
     FLUX            phi        pure phase exp(i*pi*phi), localized flux
     R_FLIP          r          spin-flip through opposite derivative
     RTILDE_FLIP     r_tilde    spin-flip through opposite value
-    PRODUCT         factors    ordered product of the above
+    PRODUCT         (none)     ordered product of ``factors``
     ==============  =========  =======================================
 
     ``phi`` is only meaningful modulo 2 because the phase is periodic.
-    For PRODUCT the leftmost factor is applied last, i.e. the matrix is
-    the plain left-to-right matrix product of the factors' matrices.
+    Only PRODUCT takes ``factors`` (at least one) and it takes no ``value``.
+    The leftmost factor is applied last, i.e. the matrix is the plain
+    left-to-right matrix product of the factors' matrices.
     """
 
     kind: DefectKind
-    x1: float = 0.0
-    x4: float = 0.0
-    mu: float = 1.0
-    phi: float = 0.0
-    r: float = 0.0
-    r_tilde: float = 0.0
-    factors: tuple["DefectSpec", ...] = field(default_factory=tuple)
+    value: float | None = None
+    factors: tuple["DefectSpec", ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DefectKind(self.kind))
         object.__setattr__(self, "factors", tuple(self.factors))
-        if self.kind is not DefectKind.PRODUCT:
-            param = PARAM_KEY[self.kind]
-            name = f"parameter {param!r} of a {self.kind.value} defect"
-            object.__setattr__(self, param, check_real(getattr(self, param), name))
-        if self.kind is DefectKind.MASS_JUMP and not self.mu > 0:
-            raise ParameterDomainError(f"mass-jump parameter mu must be > 0, got {self.mu}")
         if self.kind is DefectKind.PRODUCT:
+            if self.value is not None:
+                raise ParameterDomainError("product defect takes no value, only factors")
             if not self.factors:
                 raise ParameterDomainError("product defect needs at least one factor")
-            for f in self.factors:
-                if not isinstance(f, DefectSpec):
-                    raise ParameterDomainError("product factors must be DefectSpec instances")
-        elif self.factors:
+            if not all(isinstance(f, DefectSpec) for f in self.factors):
+                raise ParameterDomainError("product factors must be DefectSpec instances")
+            return
+        if self.factors:
             raise ParameterDomainError(f"{self.kind.value} defect takes no factors")
+        name = f"parameter {PARAM_KEY[self.kind]!r} of a {self.kind.value} defect"
+        value = check_real(self.value, name)
+        if self.kind is DefectKind.MASS_JUMP and not value > 0:
+            raise ParameterDomainError(f"mass-jump parameter mu must be > 0, got {value}")
+        object.__setattr__(self, "value", value)
 
 
 def x1_defect(x1: float) -> DefectSpec:
     """Derivative-jump (delta-barrier type) interaction of strength ``x1``."""
-    return DefectSpec(DefectKind.X1, x1=float(x1))
+    return DefectSpec(DefectKind.X1, x1)
 
 
 def x4_defect(x4: float) -> DefectSpec:
     """Value-jump interaction of strength ``x4``."""
-    return DefectSpec(DefectKind.X4, x4=float(x4))
+    return DefectSpec(DefectKind.X4, x4)
 
 
 def mass_jump_defect(mu: float) -> DefectSpec:
     """Scaling interaction diag(mu, 1/mu); ``mu`` is the mass-jump ratio."""
-    return DefectSpec(DefectKind.MASS_JUMP, mu=float(mu))
+    return DefectSpec(DefectKind.MASS_JUMP, mu)
 
 
 def flux_defect(phi: float) -> DefectSpec:
     """Pure-phase interaction exp(i*pi*phi), a localized flux fraction."""
-    return DefectSpec(DefectKind.FLUX, phi=float(phi))
+    return DefectSpec(DefectKind.FLUX, phi)
 
 
 def r_flip_defect(r: float) -> DefectSpec:
     """Spin flip coupling each spin value to the opposite spin's derivative."""
-    return DefectSpec(DefectKind.R_FLIP, r=float(r))
+    return DefectSpec(DefectKind.R_FLIP, r)
 
 
 def rtilde_flip_defect(r_tilde: float) -> DefectSpec:
     """Spin flip coupling each spin derivative to the opposite spin's value."""
-    return DefectSpec(DefectKind.RTILDE_FLIP, r_tilde=float(r_tilde))
+    return DefectSpec(DefectKind.RTILDE_FLIP, r_tilde)
 
 
 def product_defect(factors: Iterable[DefectSpec]) -> DefectSpec:
@@ -265,22 +271,22 @@ def defect_matrix(spec: DefectSpec) -> np.ndarray:
     """
     kind = spec.kind
     if kind is DefectKind.X1:
-        return _lift(np.array([[1.0, 0.0], [spec.x1, 1.0]], dtype=complex))
+        return _lift(np.array([[1.0, 0.0], [spec.value, 1.0]], dtype=complex))
     if kind is DefectKind.X4:
-        return _lift(np.array([[1.0, -spec.x4], [0.0, 1.0]], dtype=complex))
+        return _lift(np.array([[1.0, -spec.value], [0.0, 1.0]], dtype=complex))
     if kind is DefectKind.MASS_JUMP:
-        return _lift(np.array([[spec.mu, 0.0], [0.0, 1.0 / spec.mu]], dtype=complex))
+        return _lift(np.array([[spec.value, 0.0], [0.0, 1.0 / spec.value]], dtype=complex))
     if kind is DefectKind.FLUX:
-        return np.exp(1j * np.pi * spec.phi) * np.eye(4, dtype=complex)
+        return np.exp(1j * np.pi * spec.value) * np.eye(4, dtype=complex)
     if kind is DefectKind.R_FLIP:
         m = np.eye(4, dtype=complex)
-        m[0, 3] = spec.r
-        m[2, 1] = spec.r
+        m[0, 3] = spec.value
+        m[2, 1] = spec.value
         return m
     if kind is DefectKind.RTILDE_FLIP:
         m = np.eye(4, dtype=complex)
-        m[1, 2] = spec.r_tilde
-        m[3, 0] = spec.r_tilde
+        m[1, 2] = spec.value
+        m[3, 0] = spec.value
         return m
     if kind is DefectKind.PRODUCT:
         return compose([defect_matrix(f) for f in spec.factors])

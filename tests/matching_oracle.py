@@ -42,37 +42,20 @@ def smatrix_by_matching(device, k: float) -> np.ndarray:
         swap[2:, :2] = np.eye(2)
         return exit_phase * swap
 
-    # Region j amplitudes (A_up, B_up, A_dn, B_dn); region 0 leftmost.
+    # Region j amplitudes (A_up, B_up, A_dn, B_dn); region 0 leftmost.  The
+    # matching matrix does not depend on the incident channel, so the four
+    # incident columns share one solve.
     nunk = 4 * (n + 1)
-    s = np.zeros((4, 4), complex)
-    for col in range(4):
-        inc = np.zeros(4)
-        inc[col] = 1.0
-        a = np.zeros((nunk, nunk), complex)
-        rhs = np.zeros(nunk, complex)
-        row = 0
-        a[row, 0] = 1.0
-        rhs[row] = inc[0]
-        row += 1
-        a[row, 2] = 1.0
-        rhs[row] = inc[1]
-        row += 1
-        a[row, 4 * n + 1] = 1.0
-        rhs[row] = inc[2] * exit_phase
-        row += 1
-        a[row, 4 * n + 3] = 1.0
-        rhs[row] = inc[3] * exit_phase
-        row += 1
-        for i, (xi, m) in enumerate(defects):
-            z = _wave_basis(k, xi)
-            mz = m @ z
-            for rr in range(4):
-                a[row, 4 * (i + 1) : 4 * (i + 2)] = z[rr]
-                a[row, 4 * i : 4 * (i + 1)] -= mz[rr]
-                row += 1
-        u = np.linalg.solve(a, rhs)
-        s[0, col] = u[1]
-        s[1, col] = u[3]
-        s[2, col] = u[4 * n + 0] * exit_phase
-        s[3, col] = u[4 * n + 2] * exit_phase
-    return s
+    a = np.zeros((nunk, nunk), complex)
+    rhs = np.zeros((nunk, 4), complex)
+    # incidence rows: A_up, A_dn on the left; B_up, B_dn on the right at the exit plane
+    for col, unknown in enumerate((0, 2, 4 * n + 1, 4 * n + 3)):
+        a[col, unknown] = 1.0
+        rhs[col, col] = 1.0 if col < 2 else exit_phase
+    for i, (xi, m) in enumerate(defects):
+        z = _wave_basis(k, xi)
+        rows = slice(4 * (i + 1), 4 * (i + 2))
+        a[rows, 4 * (i + 1) : 4 * (i + 2)] = z
+        a[rows, 4 * i : 4 * (i + 1)] = -(m @ z)
+    u = np.linalg.solve(a, rhs)
+    return np.stack([u[1], u[3], u[4 * n] * exit_phase, u[4 * n + 2] * exit_phase])

@@ -516,11 +516,27 @@ def test_band_edges_pinned_and_on_the_band_boundary(args):
         ((math.nan, 1.0, 7.0), {}, r"x4 must be a finite number"),
         ((0.5, math.nan, 7.0), {}, r"a must be a finite number"),
         ((0.5, 1.0, 7.0), {"scan_step": math.inf}, r"scan_step must be a finite number"),
+        ((0.5, 1.0, 1e300), {}, r"k_max \* a / scan_step must be <= "),
     ],
 )
 def test_band_edges_domain_errors(args, kwargs, message):
     with pytest.raises(ParameterDomainError, match=message):
         band_edges(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 1.0, 1.0), r"^x4 must be a finite number"),
+        ((0.5, math.inf, 1.0), r"^a must be a finite number"),
+        ((0.5, 0.0, 1.0), r"^a must be > 0, got 0\.0$"),
+        ((0.5, 1.0, math.inf), r"^momentum must be a finite number"),
+        ((0.5, 1e200, 1e200), r"^k \* a must be a finite number"),
+    ],
+)
+def test_scalar_kp_relation_domain_errors(args, message):
+    with pytest.raises(ParameterDomainError, match=message):
+        scalar_kp_relation(*args)
 
 
 def test_scalar_comb_rejects_non_finite_numbers():

@@ -10,16 +10,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpoint import (
     Branch,
     ConfigError,
+    DefectKind,
+    DefectSpec,
     Device,
     FreeSegment,
     ParameterDomainError,
     PeriodicComb,
+    flux_defect,
+    mass_jump_defect,
+    product_defect,
+    r_flip_defect,
+    rtilde_flip_defect,
     sound_slope,
     x1_defect,
+    x4_defect,
 )
 from spinpoint.cli import (
     RunConfig,
@@ -50,7 +60,7 @@ def test_parse_minimal_scatter_config_fills_defaults():
     )
     config = parse_config(text)
     assert config.command == "scatter"
-    assert config.defect.r == 0.5
+    assert config.defect.value == 0.5
     assert config.sweep == SweepSpec(0.1, 10.0, 100, "log")
     assert config.tolerances == Tolerances()
     assert config.incident is None
@@ -217,6 +227,46 @@ def test_round_trip_all_commands():
     for text in docs:
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
+
+
+HELPERS = {
+    DefectKind.X1: x1_defect,
+    DefectKind.X4: x4_defect,
+    DefectKind.MASS_JUMP: mass_jump_defect,
+    DefectKind.FLUX: flux_defect,
+    DefectKind.R_FLIP: r_flip_defect,
+    DefectKind.RTILDE_FLIP: rtilde_flip_defect,
+}
+
+
+def _value(kind):
+    if kind is DefectKind.MASS_JUMP:
+        return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+# (hand-built spec, helper-built spec) pairs: every kind, and products nested two deep
+_leaf = st.sampled_from(list(HELPERS)).flatmap(
+    lambda kind: _value(kind).map(lambda v: (DefectSpec(kind, v), HELPERS[kind](v)))
+)
+
+
+def _product(parts):
+    return st.lists(parts, min_size=1, max_size=3).map(
+        lambda pairs: (
+            DefectSpec(DefectKind.PRODUCT, factors=tuple(hand for hand, _ in pairs)),
+            product_defect(helper for _, helper in pairs),
+        )
+    )
+
+
+@given(st.one_of(_leaf, _product(_leaf), _product(st.one_of(_leaf, _product(_leaf)))))
+@settings(max_examples=200)
+def test_equal_defects_are_equal_records_and_round_trip(pair):
+    spec, built = pair
+    assert spec == built and hash(spec) == hash(built)
+    config = RunConfig("check", defect=spec)
+    assert parse_config(serialize_config(config)) == config
 
 
 # sha256 of serialize_config(parse_config(text)) for every example config;

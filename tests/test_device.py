@@ -56,9 +56,12 @@ def test_free_segment_requires_positive_length():
         lambda: FreeSegment("1.0"),
         lambda: x1_defect(math.nan),
         lambda: mass_jump_defect(math.inf),
-        lambda: DefectSpec(DefectKind.R_FLIP, r=10**400),
-        lambda: DefectSpec(DefectKind.FLUX, phi=True),
-        lambda: DefectSpec(DefectKind.X4, x4="0.5"),
+        lambda: DefectSpec(DefectKind.R_FLIP, 10**400),
+        lambda: DefectSpec(DefectKind.FLUX, True),
+        lambda: DefectSpec(DefectKind.X4, "0.5"),
+        lambda: x1_defect("0.5"),
+        lambda: r_flip_defect(True),
+        lambda: x1_defect("abc"),
         lambda: PeriodicComb(Device(()), period=math.inf),
         lambda: PeriodicComb(Device(()), period=math.nan),
     ],
@@ -71,6 +74,9 @@ def test_free_segment_requires_positive_length():
         "r_beyond_float",
         "phi_bool",
         "x4_str",
+        "x1_str_helper",
+        "r_bool_helper",
+        "x1_junk_helper",
         "period_inf",
         "period_nan",
     ],

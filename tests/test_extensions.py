@@ -1,5 +1,7 @@
 """Boundary matrices, current forms, and conservation checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,3 +266,14 @@ def test_defect_spec_validation():
         product_defect([])
     with pytest.raises(ParameterDomainError):
         DefectSpec(DefectKind.X1, factors=(x1_defect(1.0),))
+
+
+def test_defect_spec_holds_one_value_per_kind():
+    assert [f.name for f in dataclasses.fields(DefectSpec)] == ["kind", "value", "factors"]
+    assert x1_defect(1) == DefectSpec(DefectKind.X1, 1.0) and type(x1_defect(1).value) is float
+    with pytest.raises(ParameterDomainError, match="^parameter 'x1' of a x1 defect must be a num"):
+        DefectSpec(DefectKind.X1)
+    with pytest.raises(ParameterDomainError, match="^product defect takes no value"):
+        DefectSpec(DefectKind.PRODUCT, 1.0, factors=(x1_defect(1.0),))
+    with pytest.raises(ParameterDomainError, match="^product factors must be DefectSpec"):
+        DefectSpec(DefectKind.PRODUCT, factors=(1.0,))
