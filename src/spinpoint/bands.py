@@ -24,7 +24,7 @@ import numpy as np
 from .device import _MAX_POINTS, Device, FreeSegment, check_k_grid, total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, DefectSpec, check_positive, check_real
-from .scattering import check_conservation, propagation
+from .scattering import check_finite, propagation
 
 __all__ = [
     "PeriodicComb",
@@ -208,8 +208,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     a = comb.period
     with np.errstate(over="ignore", invalid="ignore"):
         transfers = cell_transfer(comb, ks)
-    # an infinite tolerance leaves only the overflow rule of the current gate
-    check_conservation(transfers, ks, np.inf)
+    check_finite(np.isfinite(transfers).all(axis=(-2, -1)), ks)
     lam, vecs = np.linalg.eig(transfers)
     cond = np.linalg.cond(vecs, 1)
     flagged = ks[~np.isfinite(cond) | (cond > 1e8)]
@@ -431,7 +430,7 @@ def effective_mass(branch: Branch, q_window=(0.0, 0.2), min_points: int = 10) ->
     package; ratios of coefficients between branches are normalization
     free.
     """
-    q, e, n = _window_points(branch, q_window, min_points)
+    q, e, n = _window_points(branch, q_window, max(min_points, 1))  # one point per parameter
     q2 = q * q
     c = float(np.dot(q2, e) / np.dot(q2, q2))
     residual = float(np.sqrt(np.mean((e - c * q2) ** 2)))
@@ -445,7 +444,7 @@ def sound_slope(branch: Branch, q_window=(0.0, 0.1), min_points: int = 10) -> Sl
     leading curvature bias a plain one-parameter fit would pick up over
     a finite window.
     """
-    q, e, n = _window_points(branch, q_window, min_points)
+    q, e, n = _window_points(branch, q_window, max(min_points, 2))
     design = np.column_stack([q, q * q])
     coef, *_ = np.linalg.lstsq(design, e, rcond=None)
     v, w = (float(coef[0]), float(coef[1]))

@@ -46,7 +46,7 @@ class Tolerances:
     """Numerical gates of a run, each a finite number > 0 (ConfigError otherwise)."""
 
     current: float = 1e-12  # conservation check of boundary matrices
-    transfer: float = 1e-10  # longitudinal-current gate on transfers
+    transfer: float = 1e-10  # current and spin-swap gate on transfers
     bloch: float = 1e-8  # |lambda| = 1 band membership
 
     def __post_init__(self):

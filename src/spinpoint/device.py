@@ -10,13 +10,15 @@ import numpy as np
 from .errors import ConfigError, ParameterDomainError
 from .extensions import DefectSpec, check_positive, check_real, defect_matrix
 from .extensions import r_flip_defect, x1_defect
-from .scattering import CHANNELS, ScatteringMatrix, channel_index, check_momenta
-from .scattering import propagation, scattering_stack
+from .scattering import CHANNELS, ScatteringMatrix, channel_blocks, channel_index, channel_matrix
+from .scattering import channel_scattering, check_conservation, check_finite, check_momenta
+from .scattering import propagation
 
 __all__ = [
     "FreeSegment",
     "Device",
     "SpectrumTable",
+    "channel_transfer",
     "total_transfer",
     "spectrum",
     "preset_resonator",
@@ -78,21 +80,32 @@ class SpectrumTable:
         return len(self.k)
 
 
-def total_transfer(device: Device, k) -> np.ndarray:
-    """Total transfer matrix of a device at momentum k.
+def channel_transfer(device: Device, k) -> np.ndarray:
+    """Channel array (2, 2, *k.shape, 2) of a device's transfer, composed entry by entry.
 
-    The rightmost element's matrix ends up leftmost in the product, so the
-    result maps the boundary vector at the left end to the right end.  A
-    scalar ``k`` gives one 4x4 matrix, an array of n momenta an (n, 4, 4)
-    stack.
+    The rightmost element's matrix ends up leftmost in the product.  Raises
+    :class:`InvalidTransferError` at the first momentum where it overflowed.
     """
     ks = check_momenta(k)
-    total = np.eye(4, dtype=complex)
-    for i, el in enumerate(device.elements):
-        m = propagation(ks, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
-        total = m @ total if i else m
-    shape = ks.shape + (4, 4)
-    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
+    total = ((1, 0), (0, 1))  # the first element's matrix replaces it, with no product
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, el in enumerate(device.elements):
+            m = propagation(ks, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
+            (a, b), (c, d) = m = channel_blocks(m)
+            (e, f), (g, h) = total
+            total = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)) if i else m
+    out = np.empty((2, 2) + ks.shape + (2,), dtype=complex)
+    (out[0, 0], out[0, 1]), (out[1, 0], out[1, 1]) = total
+    check_finite(np.isfinite(out).all(axis=(0, 1, -1)), ks)
+    return out
+
+
+def total_transfer(device: Device, k) -> np.ndarray:
+    """Transfer matrix from the left end of a device to its right end (:func:`channel_transfer`).
+
+    A scalar ``k`` gives one 4x4 matrix, an array of n momenta an (n, 4, 4) stack.
+    """
+    return channel_matrix(channel_transfer(device, k))
 
 
 def check_k_grid(k_grid) -> np.ndarray:
@@ -114,15 +127,17 @@ def spectrum(
 ) -> SpectrumTable:
     """Evaluate outgoing-channel probabilities over a momentum grid.
 
-    Momenta where the in/out system is singular produce NaN
-    probability rows with the ``singular`` flag set instead of failing
-    the whole sweep.  The grid is converted in one batched call of
-    :func:`~spinpoint.scattering.scattering_stack`.
+    Free propagation conserves the current exactly, so the gate
+    (``conservation_tol``) checks each distinct defect once, at the first
+    momentum.  A momentum whose channel S-matrix is not finite gives a NaN
+    row flagged ``singular`` instead of failing the whole sweep.
     """
     ks = check_k_grid(k_grid)
     idx = channel_index(incident)
-    transfers = total_transfer(device, ks)
-    s, singular = scattering_stack(transfers, ks, conservation_tol=conservation_tol)
+    defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
+    gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
+    check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
+    s, singular = channel_scattering(channel_transfer(device, ks), ks)
     smat = ScatteringMatrix(matrix=s, k=ks)
     return SpectrumTable(
         k=ks,

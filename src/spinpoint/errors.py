@@ -14,11 +14,11 @@ class InvalidTransferError(SpinpointError, ValueError):
 
 
 class SpectralSingularityError(SpinpointError, RuntimeError):
-    """The in/out system of the S-matrix is singular at this momentum."""
+    """The S-matrix at this momentum is not finite."""
 
     def __init__(self, k: float, message: str | None = None):
         self.k = float(k)
-        super().__init__(message or f"singular scattering rearrangement at k={self.k!r}")
+        super().__init__(message or f"S-matrix is not finite at k={self.k!r}")
 
 
 class ConfigError(SpinpointError, ValueError):

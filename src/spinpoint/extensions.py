@@ -26,6 +26,7 @@ quadratic forms ``J_i = Phi^dag F_i Phi`` with Hermitian 4x4 matrices
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -315,20 +316,21 @@ def conserves_currents(matrix: np.ndarray, tol: float = 1e-12) -> CurrentReport:
     if not tol > 0:
         raise ParameterDomainError(f"tolerance must be > 0, got {tol}")
     m = np.asarray(matrix, dtype=complex)
+    if m.shape != (4, 4):
+        raise ParameterDomainError(f"boundary matrix must be 4x4, got shape {m.shape}")
     rx, ry, rz = (float(current_residual(m, form.matrix)) for form in current_forms())
     return CurrentReport(rx <= tol, ry <= tol, rz <= tol, (rx, ry, rz), tol)
 
 
 def x2_from_mu(mu: float) -> float:
     """Map a mass-jump ratio mu > 0 to the scaling strength 2(mu-1)/(mu+1)."""
-    if not mu > 0:
-        raise ParameterDomainError(f"mu must be > 0, got {mu}")
+    mu = check_positive(mu, "mu")
     return 2.0 * (mu - 1.0) / (mu + 1.0)
 
 
 def mu_from_x2(x2: float) -> float:
     """Inverse of :func:`x2_from_mu`; requires |x2| < 2."""
-    if not abs(x2) < 2:
+    if not abs(check_real(x2, "x2")) < 2:
         raise ParameterDomainError(f"scaling strength must satisfy |x2| < 2, got {x2}")
     return (2.0 + x2) / (2.0 - x2)
 
@@ -339,12 +341,12 @@ def x3_from_phi(phi: float) -> float:
     Inverse of ``exp(i*pi*phi) = (2 + i*x3)/(2 - i*x3)``; only flux
     fractions with phi not congruent to 1 (mod 2) have a finite strength.
     """
-    half = np.pi * phi / 2.0
-    if abs(np.cos(half)) < 1e-12:
+    half = math.pi * math.fmod(check_real(phi, "phi"), 2.0) / 2.0
+    if abs(math.cos(half)) < 1e-12:
         raise ParameterDomainError(f"flux fraction {phi} maps to an infinite strength")
-    return 2.0 * np.tan(half)
+    return 2.0 * math.tan(half)
 
 
 def phi_from_x3(x3: float) -> float:
     """Flux fraction in (-1, 1) equivalent to a rational-phase strength."""
-    return 2.0 / np.pi * np.arctan(x3 / 2.0)
+    return 2.0 / math.pi * math.atan(check_real(x3, "x3") / 2.0)

@@ -19,8 +19,11 @@ permutation between the two orderings is ``CLOSED_FORM_PERMUTATION`` and
 was determined by directly solving the defect's matching equations (the
 mapping involves no extra phase).
 
-A boundary transfer becomes an S-matrix through one linear system per
-momentum, written in the k-scaled boundary basis (:func:`scattering_stack`).
+Every interaction commutes with the spin swap, so in the basis
+(up +- down)/sqrt(2) a transfer splits into two 2x2 channel transfers
+(:func:`channel_blocks`), each with a closed-form S-matrix
+(:func:`channel_scattering`).  A channel array is indexed
+[row, col, ..., channel], so products are elementwise over the momenta.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidTransferError, ParameterDomainError, SpectralSingularityError
-from .extensions import check_real, current_forms, current_residual
+from .extensions import check_positive, check_real, current_forms, current_residual
 
 __all__ = [
     "CHANNELS",
@@ -41,6 +44,9 @@ __all__ = [
     "ChannelAmplitudes",
     "channel_index",
     "propagation",
+    "channel_blocks",
+    "channel_matrix",
+    "channel_scattering",
     "transfer_to_scattering",
     "scattering_stack",
     "closed_form_flip_smatrix",
@@ -58,9 +64,6 @@ CLOSED_FORM_CHANNELS = ("left_up", "right_up", "left_down", "right_down")
 CLOSED_FORM_PERMUTATION = (0, 2, 1, 3)
 
 _FORM_X = current_forms()[0].matrix
-
-#: e^{ikx} of spin up and down in the k-scaled boundary basis; e^{-ikx} is the conjugate.
-_PLANE = np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
 
 
 def channel_index(channel: int | str) -> int:
@@ -126,9 +129,7 @@ class ChannelAmplitudes:
 
 def momentum_from_energy(energy: float) -> float:
     """k for a given E = k^2 (positive branch)."""
-    if not energy > 0:
-        raise ParameterDomainError(f"energy must be > 0, got {energy}")
-    return float(np.sqrt(energy))
+    return float(np.sqrt(check_positive(energy, "energy")))
 
 
 def check_momenta(k) -> np.ndarray:
@@ -158,31 +159,74 @@ def propagation(k, length: float) -> np.ndarray:
     return out
 
 
-def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
-    """Raise at the first momentum whose transfer overflowed or fails M^dag F_x M = F_x.
+def channel_blocks(matrix) -> np.ndarray:
+    """Channel array (2, 2, ..., 2) of A + B and A - B of a matrix (stack) [[A, B], [B, A]]."""
+    m = np.asarray(matrix, dtype=complex)
+    a, b = m[..., :2, :2], m[..., :2, 2:]
+    return np.moveaxis(np.stack([a + b, a - b]), (0, -2, -1), (-1, 0, 1))
 
-    The residual is measured relative to the squared matrix scale so that
-    opaque devices with large transfer entries are not rejected for round-off.
-    A transfer has overflowed when that scale or the residual is not finite;
-    ``tol=np.inf`` applies this overflow rule alone.
+
+def channel_matrix(channels: np.ndarray) -> np.ndarray:
+    """The matrix (stack) [[A, B], [B, A]] of a channel array; undoes :func:`channel_blocks`."""
+    plus, minus = np.moveaxis(channels, (-1, 0, 1), (0, -2, -1))
+    a, b = (plus + minus) / 2, (plus - minus) / 2
+    return np.block([[a, b], [b, a]])
+
+
+def channel_scattering(channels: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped S-matrices of the channel transfers (2, 2, n, 2) at the n momenta ``ks``.
+
+    In the k-scaled boundary basis, where e^{+-ikx} are (1, +-i), a channel
+    maps (a_L, b_L) to (b_R, a_R) through [[alpha, beta], [gamma, delta]],
+    pseudo-unitary when the current is conserved, so r = -gamma/delta,
+    t = alpha/|delta|^2, t' = 1/delta and r' = beta/delta (Mello, Pereyra &
+    Kumar, Ann. Phys. 181, 290 (1988)).  Also returns the mask of NaN rows.
+    """
+    (a, b), (c, d) = channels
+    kc = ks[:, None]  # momenta against the channel axis
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, v = b * kc - c / kc, b * kc + c / kc
+        delta2 = a + d - 1j * u  # 2 delta; alpha and delta differ in the sign of u
+        tp = 2 / delta2
+        # t = alpha/|delta|^2 in two divisions, so that |delta|^2 cannot overflow
+        t = (a + d + 1j * u) / delta2.conj() * tp
+        r, rp = (d - a - 1j * v) / delta2, (a - d - 1j * v) / delta2
+        s = channel_matrix(np.array([[r, tp], [t, rp]]))
+    s = closed_form_to_grouped(s)
+    singular = ~np.isfinite(s).all(axis=(-2, -1))
+    s[singular] = np.nan
+    return s, singular
+
+
+def check_finite(finite: np.ndarray, ks: np.ndarray) -> None:
+    """Raise at the first momentum whose transfer overflowed (``finite`` is False)."""
+    if not np.all(finite):
+        k = float(np.asarray(ks)[~finite].flat[0])
+        raise InvalidTransferError(
+            f"transfer matrix overflowed at k={k!r}; the device is too opaque "
+            f"for the transfer-matrix route"
+        )
+
+
+def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
+    """Raise at the first momentum whose transfer overflowed, fails M^dag F_x M = F_x or does
+    not commute with the spin swap; residuals are relative to the (squared) matrix scale.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.abs(transfers).max(axis=(-2, -1)) ** 2)
-        residual = current_residual(transfers, _FORM_X)
-    overflowed = ~np.isfinite(scale) | ~np.isfinite(residual)
-    failed = overflowed | (residual > tol * scale)
-    if failed.any():
-        i = int(np.argmax(failed))
-        k = float(ks[i])
-        if overflowed[i]:
+        current = current_residual(transfers, _FORM_X) / scale
+        # M commutes with the swap iff its lower block row is the upper one, blocks swapped
+        swapped = transfers[..., 2:, :] - transfers[..., :2, [2, 3, 0, 1]]
+        swap = np.abs(swapped).max(axis=(-2, -1)) / np.sqrt(scale)
+    check_finite(np.isfinite(scale) & np.isfinite(current), ks)
+    rules = {"conserve the longitudinal current": current, "commute with the spin swap": swap}
+    for rule, residual in rules.items():
+        if (failed := residual > tol).any():
+            i = int(np.argmax(failed))
             raise InvalidTransferError(
-                f"transfer matrix overflowed at k={k!r}; the device is too opaque "
-                f"for the transfer-matrix route"
+                f"transfer does not {rule} at k={float(ks[i])!r} "
+                f"(relative residual {residual[i]:.3e})"
             )
-        raise InvalidTransferError(
-            f"transfer does not conserve the longitudinal current at k={k!r} "
-            f"(residual {residual[i]:.3e}, scale {scale[i]:.3e})"
-        )
 
 
 def scattering_stack(
@@ -190,41 +234,17 @@ def scattering_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert a stack of 4x4 boundary transfers, one per momentum, into S-matrices.
 
-    In the k-scaled boundary basis, T^ = D^-1 T D with D = diag(1, k, 1, k),
-    the plane waves e^{ikx} and e^{-ikx} of each spin are the constant
-    vectors p = (1, i) and q = (1, -i).  The outgoing amplitudes
-    (b_Lu, b_Ld, b_Ru, b_Rd) then solve A out = B in per momentum, with
-    A = [-T^q_up, -T^q_down, p_up, p_down] and B = [T^p_up, T^p_down, -q_up, -q_down],
-    and S = A^-1 B is the S-matrix in grouped channel order.
-
-    Returns the (n, 4, 4) S stack and the boolean ``singular`` mask: rows
-    whose system A has a 1-norm condition number (LU inverse) above
-    1e12 or not finite are NaN and flagged.  Raises
-    :class:`InvalidTransferError` at the first momentum whose transfer
-    overflowed or violates longitudinal-current conservation
-    (``conservation_tol``, relative to the squared scale).
+    The gate :func:`check_conservation` (``conservation_tol``) raises
+    :class:`InvalidTransferError` at the first failing momentum; then
+    :func:`channel_scattering` gives the (n, 4, 4) S stack in grouped channel
+    order and the ``singular`` mask of its non-finite (NaN) rows.
     """
     ks = check_momenta(k_grid)
     t = np.asarray(transfers, dtype=complex)
     if ks.ndim != 1 or t.shape != (len(ks), 4, 4):
         raise ParameterDomainError(f"need one 4x4 transfer per momentum, got {t.shape}")
     check_conservation(t, ks, conservation_tol)
-    d = np.ones((len(ks), 4))
-    d[:, 1::2] = ks[:, None]
-    th = t * d[:, None, :] / d[:, :, None]  # D^-1 T D with D = diag(1, k, 1, k)
-    tp = th[:, :, 0::2] + 1j * th[:, :, 1::2]  # T p_up, T p_down
-    tq = th[:, :, 0::2] - 1j * th[:, :, 1::2]  # T q_up, T q_down
-    plane = np.broadcast_to(_PLANE, tp.shape)
-    a = np.concatenate([-tq, plane], axis=-1)
-    b = np.concatenate([tp, -plane.conj()], axis=-1)
-    cond = np.linalg.cond(a, 1)
-    singular = ~np.isfinite(cond) | (cond > 1e12)
-    # A batched solve fails as a whole on one singular matrix, so each
-    # singular row solves an identity instead and is blanked afterwards.
-    a[singular] = np.eye(4)
-    s = np.linalg.solve(a, b)
-    s[singular] = np.nan
-    return s, singular
+    return channel_scattering(channel_blocks(t), ks)
 
 
 def transfer_to_scattering(
@@ -232,9 +252,8 @@ def transfer_to_scattering(
 ) -> ScatteringMatrix:
     """Convert one 4x4 boundary transfer at momentum ``k`` > 0 into an S-matrix.
 
-    The single-momentum case of :func:`scattering_stack`, except that a
-    singular in/out system (1-norm condition number, from the LU inverse,
-    above 1e12 or not finite) raises :class:`SpectralSingularityError`.
+    The single-momentum case of :func:`scattering_stack`, except that an
+    S-matrix that is not finite raises :class:`SpectralSingularityError`.
     """
     t = np.asarray(transfer)[None]
     s, singular = scattering_stack(t, [k], conservation_tol=conservation_tol)
@@ -275,10 +294,10 @@ def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
 
 
 def closed_form_to_grouped(matrix: np.ndarray) -> np.ndarray:
-    """Reorder a closed-form-ordered matrix into grouped channel order."""
+    """Reorder a closed-form-ordered matrix (or a stack of them) into grouped channel order."""
     perm = np.asarray(CLOSED_FORM_PERMUTATION)
     m = np.asarray(matrix, dtype=complex)
-    return m[np.ix_(perm, perm)]
+    return m[..., perm[:, None], perm]
 
 
 def channel_probabilities(s, incident: int | str) -> np.ndarray:

@@ -3,8 +3,8 @@
 Builds the full linear system for the region amplitudes of a device
 (4 unknown amplitudes per region, 4 matching equations per defect plus 4
 incidence constraints) and reads the scattering matrix off the solution.
-Deliberately avoids the composed transfer matrix and the library's in/out
-system for the outgoing amplitudes, so the two routes are independent.
+Deliberately avoids the composed transfer matrix and the library's spin
+channels and S formula, so the two routes are independent.
 """
 
 import numpy as np

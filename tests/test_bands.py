@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpoint import (
+    Branch,
     Device,
     FitWindowError,
     FreeSegment,
@@ -574,3 +575,14 @@ def test_sound_slope_massless_comb():
     )
     fit = sound_slope(best, q_window=(0.0, 0.1))
     assert fit.slope == pytest.approx(2 * math.sqrt(3), rel=5e-3)
+
+
+def test_fits_need_a_point_per_parameter():
+    q = np.array([0.05])
+    one_point = Branch(0, q, q, 2.0 * q)
+    with pytest.raises(FitWindowError, match="has 1 points .* need at least 2$"):
+        sound_slope(one_point, min_points=1)
+    empty = Branch(0, q, q, q)
+    with pytest.raises(FitWindowError, match="has 0 points .* need at least 1$"):
+        effective_mass(empty, q_window=(0.1, 0.2), min_points=0)
+    assert effective_mass(one_point, min_points=0).n_points == 1

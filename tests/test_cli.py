@@ -42,6 +42,8 @@ from spinpoint.cli import (
     serialize_config,
 )
 
+from matching_oracle import smatrix_by_matching
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -404,8 +406,8 @@ def test_output_determinism_all_commands(tmp_path):
 # CSV (or in the check report) fails here.
 CONFIG_OUTPUT_SHA256 = {
     "check": "e31d7cc61dd451f00bb0e8251e1589a43dcd505fcff042211c8949972286ffad",
-    "scatter": "e5803781db852370f9445f65101aa7471f38d9b911f9d139165ddc8d11c6ac39",
-    "device": "07bd892794e838c0aa0375bd9b84d6462556acb7507dd703b4ad46c211ff891b",
+    "scatter": "84e21bbad9c892dc5f30d5c32d89ab1f75f8b08cdaf8f7e9e49afe17d3819f8b",
+    "device": "5c4388b42b972134ffdfc537ead9ed93c558938de9d364f5bc4b8fb8d5bff491",
     "bands": "22c52c4ec1b12cecd93ace364134bc4235715e8c2dc6955cce986fc630b7f2d2",
 }
 
@@ -425,13 +427,31 @@ def test_main_command_mismatch_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_reports_overflowing_device(tmp_path, capsys):
+def test_main_sweeps_opaque_device(tmp_path, capsys):
+    # the 4x4 transfer of this chain overflows the current gate's scale at every momentum
     cell = [{"kind": "x1", "x1": 20.0}, {"free": 1.0}, {"kind": "r_x4", "r": 0.3}, {"free": 0.5}]
+    path = tmp_path / "cfg.json"
+    sweep = {"k_min": 0.01, "k_max": 20.0, "points": 200, "spacing": "log"}
+    path.write_text(make_config(command="device", device={"elements": cell * 100}, sweep=sweep))
+    out = tmp_path / "out.csv"
+    assert main(["device", "--config", str(path), "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert np.array_equal(table[:, 0], SweepSpec(**sweep).grid())
+    assert not table[:, -1].any()
+    assert table[:, -2].max() <= 1e-10
+    device = parse_config(path.read_text()).device
+    for row in table[::20]:
+        expected = np.abs(smatrix_by_matching(device, row[0])[:, 0]) ** 2
+        assert np.abs(row[2:6] - expected).max() <= 1e-10
+
+
+def test_main_reports_overflowing_device(tmp_path, capsys):
+    cell = [{"kind": "x1", "x1": 1e3}, {"kind": "x4", "x4": 1e3}]
     path = tmp_path / "cfg.json"
     path.write_text(
         make_config(
             command="device",
-            device={"elements": cell * 100},
+            device={"elements": cell * 60},
             sweep={"k_min": 0.01, "k_max": 20.0, "points": 200, "spacing": "log"},
         )
     )

@@ -1,6 +1,7 @@
 """Boundary matrices, current forms, and conservation checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinpoint import (
     defect_matrix,
     flux_defect,
     mass_jump_defect,
+    momentum_from_energy,
     mu_from_x2,
     phi_from_x3,
     product_defect,
@@ -250,6 +252,33 @@ def test_mass_jump_conversion_domains():
         x2_from_mu(-1.0)
     with pytest.raises(ParameterDomainError):
         mu_from_x2(2.0)
+
+
+@pytest.mark.parametrize(
+    "convert, value",
+    [
+        (x3_from_phi, math.nan),
+        (x3_from_phi, math.inf),
+        (x2_from_mu, math.inf),
+        (mu_from_x2, True),
+        (phi_from_x3, "a"),
+        (momentum_from_energy, math.inf),
+    ],
+    ids=["x3_nan", "x3_inf", "x2_inf", "mu_bool", "phi_str", "k_inf"],
+)
+def test_conversions_reject_non_finite_and_non_numbers(convert, value):
+    with pytest.raises(ParameterDomainError, match=r" must be a (finite )?number"):
+        convert(value)
+
+
+def test_flux_strength_reduces_phi_mod_two():
+    assert x3_from_phi(2.3) == pytest.approx(x3_from_phi(0.3), rel=1e-12)
+    assert x3_from_phi(1e308) == 0.0
+
+
+def test_conserves_currents_needs_a_4x4_matrix():
+    with pytest.raises(ParameterDomainError, match=r"must be 4x4, got shape \(3, 3\)$"):
+        conserves_currents(np.eye(3))
 
 
 def test_flux_strength_conversion_round_trip():

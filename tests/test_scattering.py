@@ -1,4 +1,4 @@
-"""Scattering matrices: propagation, rearrangement, closed form, probabilities."""
+"""Scattering matrices: propagation, spin channels, closed form, probabilities."""
 
 import math
 
@@ -20,6 +20,8 @@ from spinpoint import (
     closed_form_to_grouped,
     compose,
     defect_matrix,
+    flux_defect,
+    mass_jump_defect,
     momentum_from_energy,
     propagation,
     r_flip_defect,
@@ -28,11 +30,13 @@ from spinpoint import (
     total_transfer,
     transfer_to_scattering,
     x1_defect,
+    x4_defect,
 )
+from spinpoint.scattering import channel_blocks, channel_matrix
 
-# A zero transfer makes the outgoing-side system rank deficient.  No
-# current-conserving transfer does that, so tests using it switch the
-# conservation gate off with an infinite tolerance.
+# A zero transfer has delta = 0 in both channels, so its S-matrix is not
+# finite.  No current-conserving transfer does that, so tests using it
+# switch the conservation gate off with an infinite tolerance.
 SINGULAR_TRANSFER = np.zeros((4, 4), dtype=complex)
 
 k_values = st.floats(min_value=0.05, max_value=30)
@@ -228,6 +232,53 @@ def test_stack_gate_raises_at_first_failing_momentum():
     transfers = np.array([np.eye(4), 2.0 * np.eye(4), 3.0 * np.eye(4)])
     with pytest.raises(InvalidTransferError, match=r"does not conserve.*at k=1\.0 "):
         scattering_stack(transfers, ks)
+
+
+def test_transfer_acting_on_one_spin_rejected():
+    # an x1 jump on spin up alone conserves the current but does not commute with the spin swap
+    transfer = np.eye(4)
+    transfer[1, 0] = 2.0
+    with pytest.raises(InvalidTransferError, match=r"does not commute with the spin swap at k=1\.0 "):
+        transfer_to_scattering(transfer, 1.0)
+
+
+SINGLE_DEFECTS = [
+    x1_defect(2.0),
+    x4_defect(2.0),
+    mass_jump_defect(2.0),
+    flux_defect(0.3),
+    r_flip_defect(2.0),
+    rtilde_flip_defect(2.0),
+]
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e12])
+@pytest.mark.parametrize("spec", SINGLE_DEFECTS, ids=lambda spec: spec.kind.value)
+def test_single_defects_at_extreme_momenta(spec, k):
+    # the k-scaled transfer entries reach |x1|/k or |x4| k = 2e12 here
+    s = transfer_to_scattering(defect_matrix(spec), k)
+    assert s.unitarity_residual() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e12])
+def test_flip_defect_at_extreme_momenta_matches_closed_form(k):
+    s = transfer_to_scattering(defect_matrix(r_flip_defect(2.0)), k)
+    expected = closed_form_to_grouped(closed_form_flip_smatrix(k, 2.0))
+    assert np.abs(s.matrix - expected).max() <= 1e-15
+
+
+def test_channel_blocks_round_trip():
+    m = compose([defect_matrix(r_flip_defect(0.4)), defect_matrix(rtilde_flip_defect(-1.3))])
+    channels = channel_blocks(m)
+    assert channels.shape == (2, 2, 2)
+    assert np.array_equal(channels[..., 0], m[:2, :2] + m[:2, 2:])
+    assert np.array_equal(channels[..., 1], m[:2, :2] - m[:2, 2:])
+    assert np.abs(channel_matrix(channels) - m).max() <= 1e-15
+    # a stack keeps its momentum axis between the matrix entries and the channel
+    stack = np.array([m, 2 * m, 4 * m])
+    assert channel_blocks(stack).shape == (2, 2, 3, 2)
+    assert np.array_equal(channel_blocks(stack)[:, :, 2], 4 * channels)
+    assert np.abs(channel_matrix(channel_blocks(stack)) - stack).max() <= 4e-15
 
 
 def test_overflowed_transfer_rejected():
