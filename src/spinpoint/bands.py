@@ -7,10 +7,19 @@ one period.  Propagating Bloch solutions at momentum k are eigenvalues of
 the cell transfer with |lambda| = 1; the quasi-momentum is
 q = |arg lambda| / a in [0, pi/a] and the energy is E = k^2.
 
+Every interaction commutes with the spin swap, so the cell transfer splits
+into two 2x2 spin channels, and :func:`dispersion` takes each channel's
+two Bloch roots and eigenvectors in closed form from its trace and
+determinant.  A channel block whose two roots coincide while it is not a
+multiple of the identity is a Jordan block (one eigenvector); those
+momenta are reported in ``BandDiagram.flagged_k``.
+
 Combs built purely from spin-flip defects of the derivative-coupling type
 block-diagonalize in the rotated spin basis (up +- down)/sqrt(2) into two
-scalar value-jump combs, which gives an independent closed-form route to
-the same spectrum (:func:`scalar_kp_relation`).
+scalar value-jump combs, which gives an independent route to the same
+spectrum: the Kronig-Penney trace condition cos(qa) = tr T / 2 of each
+scalar comb (:func:`scalar_dispersion`, and :func:`scalar_kp_relation` for
+one defect per period).
 """
 
 from __future__ import annotations
@@ -21,10 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import _MAX_POINTS, Device, FreeSegment, check_k_grid, total_transfer
+from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_grid
+from .device import total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, DefectSpec, check_positive, check_real
-from .scattering import check_finite, propagation
+from .scattering import propagation
 
 __all__ = [
     "PeriodicComb",
@@ -186,11 +196,57 @@ def _link_points(q, vecs, slot, m, period):
     return link
 
 
+#: Relative distance (to a channel block's largest entry) within which its
+#: two roots coincide and below which it is a multiple of the identity.
+_JORDAN_TOL = 1e-6
+
+
+def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
+    """Bloch roots (n, 4) and unit eigenvectors (n, 4, 4) of the cell transfer, and Jordan flags.
+
+    Each 2x2 channel block [[a, b], [c, d]] of the period transfer has the
+    roots tr/2 +- sqrt(tr^2/4 - det); the larger one is taken first and the
+    smaller as det over it, so that an evanescent root keeps its digits.
+    An eigenvector is (b, lambda - a) or (lambda - d, c), whichever is
+    longer (e1 and e2 for a multiple of the identity), lifted to the four
+    spin components as (v, +-v)/sqrt(2).  Columns run (+ larger, + smaller,
+    - larger, - smaller).  A channel is a Jordan block (flagged) where its
+    two roots coincide within ``_JORDAN_TOL`` of the block's largest entry
+    while the block is not that close to a multiple of the identity; its
+    double root is then tr/2.
+    """
+    fill = (FreeSegment(comb.fill_length),) if comb.fill_length > 0 else ()
+    (a, b), (c, d) = channel_transfer(Device(comb.cell.elements + fill), ks)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        half = 0.5 * (a + d)
+        det = a * d - b * c
+        root = np.sqrt(half * half - det)
+        big = np.where((half.conj() * root).real >= 0, half + root, half - root)
+        small = det / big
+    scale = np.max(np.abs([a, b, c, d]), axis=0)
+    jordan = (np.abs(big - small) <= _JORDAN_TOL * scale) & (
+        np.max(np.abs([0.5 * (a - d), b, c]), axis=0) > _JORDAN_TOL * scale
+    )
+    # round-off splits a double root by ~sqrt(eps); tr/2 keeps it to ~eps
+    lam = np.stack([np.where(jordan, half, big), np.where(jordan, half, small)], axis=-1)
+    a, b, c, d = (x[..., None] for x in (a, b, c, d))
+    longer = np.abs(b) ** 2 + np.abs(lam - a) ** 2 >= np.abs(lam - d) ** 2 + np.abs(c) ** 2
+    v = np.stack([np.where(longer, b, lam - d), np.where(longer, lam - a, c)], axis=-2)
+    norm = np.linalg.norm(v, axis=-2, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.where(norm > 0, v / norm, np.eye(2))  # (n, channel, component, root)
+    # (v, v) in the + channel, (v, -v) in the - channel
+    vecs = np.concatenate([v, v * np.array([1, -1])[:, None, None]], axis=-2) / math.sqrt(2)
+    n = len(ks)
+    return lam.reshape(n, 4), vecs.transpose(0, 2, 1, 3).reshape(n, 4, 4), jordan.any(axis=1)
+
+
 def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDiagram:
     """Compute the band diagram of a comb over a sorted positive k grid.
 
-    The eigenvalues of the cell transfer are computed in one batched call
-    over the grid; eigenvalues with ||lambda| - 1| < ``bloch_tol`` are
+    The cell transfer splits into two 2x2 spin channels, whose Bloch roots
+    and eigenvectors are computed in closed form over the whole grid
+    (:func:`_channel_roots`); roots with ||lambda| - 1| < ``bloch_tol`` are
     propagating and contribute a point (q = |arg lambda|/a, E = k^2).
     Conjugate pairs are collapsed to a single point, and points are
     stitched into branches by nearest-neighbour continuity in q with an
@@ -198,22 +254,17 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     batched search over the injective assignments, and of equally scored
     assignments the first in ``itertools.product`` order wins.  A linked
     point keeps its predecessor's branch id; every other point opens the
-    next id in (k, q) order.  Momenta where the eigenvector matrix is
-    numerically defective (its 1-norm condition number, from the LU
-    inverse, is above 1e8 or not finite) are reported in ``flagged_k``.
+    next id in (k, q) order.  Momenta where a channel block is a Jordan
+    block (its two roots coincide but it is not a multiple of the
+    identity, so it has one eigenvector) are reported in ``flagged_k``.
     Raises :class:`InvalidTransferError` at the first momentum whose cell
     transfer overflowed.
     """
     ks = check_k_grid(k_grid)
     a = comb.period
-    with np.errstate(over="ignore", invalid="ignore"):
-        transfers = cell_transfer(comb, ks)
-    check_finite(np.isfinite(transfers).all(axis=(-2, -1)), ks)
-    lam, vecs = np.linalg.eig(transfers)
-    cond = np.linalg.cond(vecs, 1)
-    flagged = ks[~np.isfinite(cond) | (cond > 1e8)]
+    lam, vecs, jordan = _channel_roots(comb, ks)
     # hypot, not np.abs: the SIMD complex abs of long arrays can differ by
-    # one ulp, and the residual decides which eigenvalue of a pair is kept
+    # one ulp, and the residual decides which root of a pair is kept
     residual = np.abs(np.hypot(lam.real, lam.imag) - 1.0)
     q = np.abs(np.angle(lam)) / a
 
@@ -240,7 +291,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
         energy=np.float_power(k, 2),
         branch_id=(np.cumsum(opens) - 1)[head],
         lambda_residual=residual[rows, cols],
-        flagged_k=tuple(flagged.tolist()),
+        flagged_k=tuple(ks[jordan].tolist()),
         metadata={"bloch_tol": bloch_tol},
     )
 
@@ -295,39 +346,43 @@ def spin_decouple(comb: PeriodicComb) -> tuple[ScalarComb, ScalarComb] | None:
     return ScalarComb(tuple(minus), comb.period), ScalarComb(tuple(plus), comb.period)
 
 
-def _scalar_propagation(k: float, length: float) -> np.ndarray:
-    c = math.cos(k * length)
-    s = math.sin(k * length)
-    return np.array([[c, s / k], [-k * s, c]])
+def _scalar_transfer(comb: ScalarComb, k) -> tuple:
+    """Entries (a, b, c, d) of the 2x2 period transfer, composed elementwise over ``k``."""
+    fill = (FreeSegment(comb.fill_length),) if comb.fill_length > 0 else ()
+    total = (1.0, 0.0, 0.0, 1.0)
+    for el in comb.elements + fill:
+        if isinstance(el, FreeSegment):
+            cos, sin = np.cos(k * el.length), np.sin(k * el.length)
+            p, q, r, t = cos, sin / k, -k * sin, cos
+        else:
+            p, q, r, t = 1.0, -el.x4, 0.0, 1.0
+        a, b, c, d = total
+        total = (p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d)
+    return total
 
 
 def scalar_cell_transfer(comb: ScalarComb, k: float) -> np.ndarray:
     """2x2 transfer across one period of a scalar comb."""
-    k = check_positive(k, "momentum")
-    total = np.eye(2)
-    for el in comb.elements:
-        if isinstance(el, FreeSegment):
-            m = _scalar_propagation(k, el.length)
-        else:
-            m = np.array([[1.0, -el.x4], [0.0, 1.0]])
-        total = m @ total
-    return _scalar_propagation(k, comb.fill_length) @ total
+    a, b, c, d = _scalar_transfer(comb, check_positive(k, "momentum"))
+    return np.array([[a, b], [c, d]], dtype=float)
 
 
 def scalar_dispersion(comb: ScalarComb, k_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagating (k, q, E) points of a scalar comb via the trace condition.
 
     The cell transfer has unit determinant, so Bloch solutions exist iff
-    |tr T / 2| <= 1, with cos(q a) = tr T / 2.
+    |tr T / 2| <= 1, with cos(q a) = tr T / 2.  The transfer is composed
+    entry by entry over the whole grid.
     """
-    ks, qs, es = [], [], []
-    for k in np.asarray(k_grid, dtype=float):
-        half_trace = float(np.trace(scalar_cell_transfer(comb, float(k)))) / 2.0
-        if abs(half_trace) <= 1.0:
-            ks.append(float(k))
-            qs.append(math.acos(half_trace) / comb.period)
-            es.append(float(k) ** 2)
-    return np.array(ks), np.array(qs), np.array(es)
+    ks = np.asarray(k_grid, dtype=float)
+    bad = ks[~(np.isfinite(ks) & (ks > 0))]
+    if len(bad):
+        check_positive(float(bad[0]), "momentum")  # raises
+    a, _, _, d = _scalar_transfer(comb, ks)
+    half_trace = np.broadcast_to((a + d) / 2.0, ks.shape)
+    band = np.abs(half_trace) <= 1.0
+    k = ks[band]
+    return k, np.arccos(half_trace[band]) / comb.period, np.float_power(k, 2)
 
 
 def scalar_kp_relation(x4: float, a: float, k: float) -> float:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpoint import (
@@ -158,6 +158,22 @@ def test_dispersion_flags_defective_cell_matrices():
     assert any(np.isclose(kf, np.pi) for kf in diagram.flagged_k)
 
 
+@pytest.mark.parametrize(
+    "r,flagged",
+    [(0.5, (np.pi, 2 * np.pi)), (-1.7, (np.pi, 2 * np.pi)), (0.0, ())],
+    ids=["jordan", "jordan_negative", "zero_coupling"],
+)
+def test_dispersion_flags_only_jordan_blocks(r, flagged):
+    # at ka = n pi a one-defect cell is +-(identity + r N) per channel with N
+    # nilpotent; without coupling it is +-identity, which has two eigenvectors.
+    # k = 1.3 is a generic in-band momentum.
+    diagram = dispersion(flip_comb(r), np.array([1.3, np.pi, 2 * np.pi]))
+    assert 1.3 in diagram.k
+    assert diagram.flagged_k == flagged
+    # the double root of a Jordan block is exactly on the band edge
+    assert diagram.q[diagram.k == np.pi].tolist() == [np.pi]
+
+
 def test_spin_decouple_strengths():
     minus, plus = spin_decouple(flip_comb(0.5))
     assert minus.elements[0].x4 == -0.5
@@ -234,6 +250,22 @@ def test_batched_cell_transfer_equals_scalar_calls():
         assert np.array_equal(cell_transfer(comb, ks), per_k)
 
 
+def assert_rows_match(got, want, exact, close, period):
+    """Row tables agree bit for bit in the ``exact`` columns and to 1e-8 * max(1, pi/a) in ``close``.
+
+    A per-k eig and the closed-form channel roots of dispersion agree on q
+    and |lambda| only to round-off, which q = arccos(tr/2)/a amplifies near
+    band edges, and eig resolves a double root only to ~sqrt(eps).  Of two
+    roots merged into one point (within 1e-9 * max(1, pi/a)) the two
+    routes may keep different ones.
+    """
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, exact], want[:, exact])
+    if len(got):
+        assert np.abs(got[:, close] - want[:, close]).max() <= 1e-8 * max(1.0, math.pi / period)
+
+
 def per_k_dispersion_rows(comb, ks, bloch_tol=1e-8):
     """(k, E, q, lambda_residual) rows from one eig per momentum and Python abs."""
     a = comb.period
@@ -250,7 +282,7 @@ def per_k_dispersion_rows(comb, ks, bloch_tol=1e-8):
             else:
                 merged.append((q, residual))
         rows += [(float(k), float(k) ** 2, q, float(residual)) for q, residual in merged]
-    return rows
+    return np.reshape(rows, (-1, 4))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +295,8 @@ def test_batched_dispersion_equals_per_k_reference(comb):
     ks = np.linspace(0.02, 12.0, 3000)
     diagram = dispersion(comb, ks)
     columns = (diagram.k, diagram.energy, diagram.q, diagram.lambda_residual)
-    assert list(zip(*(c.tolist() for c in columns))) == per_k_dispersion_rows(comb, ks)
+    want = per_k_dispersion_rows(comb, ks)
+    assert_rows_match(np.transpose(columns), want, [0, 1], [2, 3], comb.period)
 
 
 def _match_branches(points, active, period):
@@ -272,15 +305,17 @@ def _match_branches(points, active, period):
     Minimizes total |dq| with a small eigenvector-overlap bonus so that
     branch crossings in q are resolved by the orthogonality of the two
     spin channels.  Returns a list aligned with ``points`` of branch ids
-    (None for a freshly opened branch).
+    (None for a freshly opened branch), and by how much the best feasible
+    assignment beats the next best (inf if there is no other).
     """
     if not points:
-        return []
+        return [], math.inf
     if not active:
-        return [None] * len(points)
+        return [None] * len(points), math.inf
     gate = 0.25 * math.pi / period
     best_combo = None
     best_score = None
+    margin = math.inf
     for combo in itertools.product(range(-1, len(active)), repeat=len(points)):
         used = [c for c in combo if c >= 0]
         if len(used) != len(set(used)):
@@ -302,24 +337,29 @@ def _match_branches(points, active, period):
             continue
         score = dq - 1e-3 * (math.pi / period) * overlap
         if best_score is None or score < best_score:
+            if best_score is not None:
+                margin = best_score - score
             best_score = score
             best_combo = combo
+        else:
+            margin = min(margin, score - best_score)
     if best_combo is None:
-        return [None] * len(points)
-    return [active[c]["id"] if c >= 0 else None for c in best_combo]
+        return [None] * len(points), math.inf
+    return [active[c]["id"] if c >= 0 else None for c in best_combo], margin
 
 
 def per_k_diagram(comb, ks, bloch_tol=1e-8):
-    """(k, E, q, branch_id, lambda_residual) rows and flagged_k, stitched one momentum at a time."""
+    """(k, E, q, branch_id, lambda_residual) rows, stitched one momentum at a time.
+
+    Also returns the smallest margin of the branch search over the steps.
+    """
     a = comb.period
-    rows, flagged = [], []
+    rows = []
+    margin = math.inf
     active = []
     next_id = 0
     for k in ks:
         lam, vecs = np.linalg.eig(cell_transfer(comb, float(k)))
-        cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond > 1e8:
-            flagged.append(float(k))
         q = [abs(float(np.angle(v))) / a for v in lam]
         residual = [abs(abs(v) - 1.0) for v in lam]
         merged = []
@@ -330,7 +370,8 @@ def per_k_diagram(comb, ks, bloch_tol=1e-8):
                     merged[-1] = point
             else:
                 merged.append(point)
-        ids = _match_branches(merged, active, a)
+        ids, step_margin = _match_branches(merged, active, a)
+        margin = min(margin, step_margin)
         active = []
         for (qj, res, vec, _), bid in zip(merged, ids):
             if bid is None:
@@ -338,16 +379,26 @@ def per_k_diagram(comb, ks, bloch_tol=1e-8):
                 next_id += 1
             rows.append((float(k), float(k) ** 2, qj, bid, res))
             active.append({"id": bid, "q": qj, "vec": vec})
-    return rows, tuple(flagged)
+    return np.reshape(rows, (-1, 5)), margin
 
 
-def assert_diagram_equals_per_k_stitching(comb, ks):
+def assert_diagram_equals_per_k_stitching(comb, ks, *, round_off_may_relabel=False):
+    """dispersion equals the per-k reference (rows as in :func:`assert_rows_match`).
+
+    Which root of a merged pair a point keeps, and so which eigenvector
+    it carries, is decided by round-off in either route, and each of up
+    to four links gains or loses up to the overlap bonus, 1e-3 * pi/a, by
+    it.  With ``round_off_may_relabel``, branch ids are compared only when
+    every step of the per-k search beats its next best assignment by
+    more than that can make up.
+    """
     diagram = dispersion(comb, ks)
-    rows, flagged = per_k_diagram(comb, ks)
     columns = (diagram.k, diagram.energy, diagram.q, diagram.branch_id, diagram.lambda_residual)
-    assert list(zip(*(c.tolist() for c in columns))) == rows
+    want, margin = per_k_diagram(comb, ks)
+    compare_ids = not round_off_may_relabel or margin > 8e-3 * math.pi / comb.period
+    exact = [0, 1, 3] if compare_ids else [0, 1]
+    assert_rows_match(np.transpose(columns), want, exact, [2, 4], comb.period)
     assert diagram.branch_id.dtype == int
-    assert diagram.flagged_k == flagged
     return diagram
 
 
@@ -412,7 +463,7 @@ def test_link_points_breaks_ties_as_the_per_k_search(prev_q, cur_q, expected):
     assert link[1, : len(cur_q)].tolist() == expected
     active = [{"id": c, "q": qc, "vec": vec} for c, qc in enumerate(prev_q)]
     points = [(qc, 0.0, vec, j) for j, qc in enumerate(cur_q)]
-    reference = _match_branches(points, active, 1.0)
+    reference, _ = _match_branches(points, active, 1.0)
     assert [-1 if bid is None else bid for bid in reference] == expected
 
 
@@ -429,10 +480,17 @@ _cell_element = st.one_of(
 
 @given(st.lists(_cell_element, min_size=1, max_size=5), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=30, deadline=None)
+# round-off relabels: two channels 1e-9 apart merge and part, a tie of two
+# order-preserving links across channels, and a link decided by the overlap
+@example([r_flip_defect(1e-9)], 0.0)
+@example([flux_defect(1e-6), r_flip_defect(0.5)], 0.6171875)
+@example([FreeSegment(0.5)] + [FreeSegment(0.49609375)] * 2 + [r_flip_defect(0.08203125)] * 2, 1.0)
 def test_batched_stitching_equals_per_k_stitching_on_random_cells(cell, fill):
     device = Device(tuple(cell))
     comb = PeriodicComb(device, device.total_length + fill + 0.2)
-    assert_diagram_equals_per_k_stitching(comb, np.linspace(0.02, 12.0, 300))
+    assert_diagram_equals_per_k_stitching(
+        comb, np.linspace(0.02, 12.0, 300), round_off_may_relabel=True
+    )
 
 
 def test_dispersion_reports_overflowing_cell_transfer():

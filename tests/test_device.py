@@ -301,6 +301,14 @@ def test_spectrum_sweeps_the_opaque_chain():
     assert_channel_route_matches_oracle(OPAQUE_CHAIN, np.geomspace(0.01, 20.0, 200), 10)
 
 
+@pytest.mark.parametrize("k", [1e4, 1e6, 1e8])
+def test_matching_oracle_stays_unitary_at_large_k(k):
+    # the wave-basis rows differ in scale by k; the oracle's elimination
+    # scales them, so its own round-off does not grow with k
+    s = smatrix_by_matching(OPAQUE_CHAIN, k)
+    assert np.abs(s.conj().T @ s - np.eye(4)).max() <= 1e-13
+
+
 strengths = st.floats(min_value=-3.0, max_value=3.0)
 single_defects = st.one_of(
     st.builds(x1_defect, strengths),
