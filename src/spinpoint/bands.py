@@ -34,7 +34,6 @@ from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_
 from .device import total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, DefectSpec, check_positive, check_real
-from .scattering import propagation
 
 __all__ = [
     "PeriodicComb",
@@ -110,21 +109,29 @@ class BandDiagram:
         return len(self.k)
 
 
+def _period_device(comb: PeriodicComb) -> Device:
+    """The comb's cell followed by its filling segment: exactly one period."""
+    fill = (FreeSegment(comb.fill_length),) if comb.fill_length > 0 else ()
+    return Device(comb.cell.elements + fill)
+
+
 def cell_transfer(comb: PeriodicComb, k) -> np.ndarray:
     """Transfer matrix across one full period (cell plus filling segment).
 
     A scalar ``k`` gives one 4x4 matrix, an array of n momenta an
     (n, 4, 4) stack.
     """
-    return propagation(k, comb.fill_length) @ total_transfer(comb.cell, k)
+    return total_transfer(_period_device(comb), k)
 
 
-def _collapse_pairs(q, residual, propagating, period):
+def _collapse_pairs(q, upper, propagating, period):
     """Kept eigen-columns per momentum: an (n, 4) slot table and the point count.
 
     Propagating columns are visited in ascending q (a stable sort, so equal
     q keep column order).  A point within 1e-9 * max(1, pi/a) of the kept
-    point's q merges into it, and the smaller residual wins.
+    point's q merges into it and replaces it only if its root is ``upper``
+    (Im lambda >= 0) and the kept one's is not, so the choice never rests
+    on round-off in |lambda|.
     """
     n = len(q)
     rows = np.arange(n)
@@ -136,7 +143,7 @@ def _collapse_pairs(q, residual, propagating, period):
         live = propagating[rows, j]
         last = slot[rows, np.maximum(m - 1, 0)]
         merge = live & (m > 0) & (q[rows, j] - q[rows, last] < tol)
-        replace = merge & (residual[rows, j] < residual[rows, last])
+        replace = merge & upper[rows, j] & ~upper[rows, last]
         slot[replace, m[replace] - 1] = j[replace]
         new = live & ~merge
         slot[new, m[new]] = j[new]
@@ -163,7 +170,9 @@ def _link_points(q, vecs, slot, m, period):
     by the orthogonality of the two spin channels.  It depends only on the
     points at two consecutive momenta, so the steps are grouped by their
     point counts and every injective map is scored for a whole group at
-    once; ``argmin`` keeps the first best map in product order.
+    once.  Maps scoring within ``tie`` of the best are tied (round-off
+    alone separates them, e.g. two points that both change channel), and
+    the first of them in product order wins.
     """
     n = len(q)
     link = np.full((n, 4), -1)
@@ -174,6 +183,7 @@ def _link_points(q, vecs, slot, m, period):
     overlap = np.hypot(product.real, product.imag)
     gate = 0.25 * math.pi / period
     bonus = 1e-3 * (math.pi / period)
+    tie = 1e-9 * (math.pi / period)
     steps = np.arange(1, n)
     for points, active in set(zip(m[1:].tolist(), m[:-1].tolist())):
         if not points or not active:
@@ -192,13 +202,17 @@ def _link_points(q, vecs, slot, m, period):
             feasible &= ~(matched & (d > gate))
             total_ov += np.where(matched, ov[:, p, c], 0.0)
         score = np.where(feasible, total_dq - bonus * total_ov, np.inf)
-        link[i, :points] = maps[np.argmin(score, axis=1)]
+        tied = score <= score.min(axis=1, keepdims=True) + tie
+        link[i, :points] = maps[np.argmax(tied, axis=1)]
     return link
 
 
-#: Relative distance (to a channel block's largest entry) within which its
-#: two roots coincide and below which it is a multiple of the identity.
-_JORDAN_TOL = 1e-6
+#: Relative distance (to a channel block's largest entry S) within which its
+#: two roots coincide and below which it is a multiple of the identity.  The
+#: discriminant tr^2/4 - det carries a round-off of a few eps * S^2, which
+#: splits a double root by up to ~4 sqrt(eps) * S; roots further apart are
+#: resolved.
+_JORDAN_TOL = 8 * math.sqrt(np.finfo(float).eps)
 
 
 def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
@@ -208,33 +222,36 @@ def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
     roots tr/2 +- sqrt(tr^2/4 - det); the larger one is taken first and the
     smaller as det over it, so that an evanescent root keeps its digits.
     An eigenvector is (b, lambda - a) or (lambda - d, c), whichever is
-    longer (e1 and e2 for a multiple of the identity), lifted to the four
+    longer (e1 and e2 where that is zero or not finite), lifted to the four
     spin components as (v, +-v)/sqrt(2).  Columns run (+ larger, + smaller,
     - larger, - smaller).  A channel is a Jordan block (flagged) where its
     two roots coincide within ``_JORDAN_TOL`` of the block's largest entry
     while the block is not that close to a multiple of the identity; its
     double root is then tr/2.
     """
-    fill = (FreeSegment(comb.fill_length),) if comb.fill_length > 0 else ()
-    (a, b), (c, d) = channel_transfer(Device(comb.cell.elements + fill), ks)
+    (a, b), (c, d) = channel_transfer(_period_device(comb), ks)
+    scale = np.max(np.abs([a, b, c, d]), axis=0)
+    # entries beyond ~1e154 overflow the products below; det, of modulus ~1,
+    # is then lost to round-off anyway, and the roots come out non-finite
+    # (not propagating)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         half = 0.5 * (a + d)
         det = a * d - b * c
         root = np.sqrt(half * half - det)
         big = np.where((half.conj() * root).real >= 0, half + root, half - root)
         small = det / big
-    scale = np.max(np.abs([a, b, c, d]), axis=0)
-    jordan = (np.abs(big - small) <= _JORDAN_TOL * scale) & (
-        np.max(np.abs([0.5 * (a - d), b, c]), axis=0) > _JORDAN_TOL * scale
-    )
-    # round-off splits a double root by ~sqrt(eps); tr/2 keeps it to ~eps
-    lam = np.stack([np.where(jordan, half, big), np.where(jordan, half, small)], axis=-1)
-    a, b, c, d = (x[..., None] for x in (a, b, c, d))
-    longer = np.abs(b) ** 2 + np.abs(lam - a) ** 2 >= np.abs(lam - d) ** 2 + np.abs(c) ** 2
-    v = np.stack([np.where(longer, b, lam - d), np.where(longer, lam - a, c)], axis=-2)
-    norm = np.linalg.norm(v, axis=-2, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v = np.where(norm > 0, v / norm, np.eye(2))  # (n, channel, component, root)
+        jordan = (np.abs(big - small) <= _JORDAN_TOL * scale) & (
+            np.max(np.abs([0.5 * (a - d), b, c]), axis=0) > _JORDAN_TOL * scale
+        )
+        # round-off splits a double root by ~sqrt(eps); tr/2 keeps it to ~eps
+        lam = np.stack([np.where(jordan, half, big), np.where(jordan, half, small)], axis=-1)
+        a, b, c, d = (x[..., None] for x in (a, b, c, d))
+        # lengths by hypot, which squares nothing
+        longer = np.hypot(np.abs(b), np.abs(lam - a)) >= np.hypot(np.abs(lam - d), np.abs(c))
+        v = np.stack([np.where(longer, b, lam - d), np.where(longer, lam - a, c)], axis=-2)
+        norm = np.hypot(np.abs(v[..., :1, :]), np.abs(v[..., 1:, :]))
+        usable = np.isfinite(norm) & (norm > 0)
+        v = np.where(usable, v / norm, np.eye(2))  # (n, channel, component, root)
     # (v, v) in the + channel, (v, -v) in the - channel
     vecs = np.concatenate([v, v * np.array([1, -1])[:, None, None]], axis=-2) / math.sqrt(2)
     n = len(ks)
@@ -248,11 +265,12 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     and eigenvectors are computed in closed form over the whole grid
     (:func:`_channel_roots`); roots with ||lambda| - 1| < ``bloch_tol`` are
     propagating and contribute a point (q = |arg lambda|/a, E = k^2).
-    Conjugate pairs are collapsed to a single point, and points are
-    stitched into branches by nearest-neighbour continuity in q with an
-    eigenvector-overlap bonus; every step of the grid is matched in one
-    batched search over the injective assignments, and of equally scored
-    assignments the first in ``itertools.product`` order wins.  A linked
+    Conjugate pairs are collapsed to a single point (the root with
+    Im lambda >= 0), and points are stitched into branches by
+    nearest-neighbour continuity in q with an eigenvector-overlap bonus;
+    every step of the grid is matched in one batched search over the
+    injective assignments, and of assignments scoring within 1e-9 * pi/a
+    of the best the first in ``itertools.product`` order wins.  A linked
     point keeps its predecessor's branch id; every other point opens the
     next id in (k, q) order.  Momenta where a channel block is a Jordan
     block (its two roots coincide but it is not a multiple of the
@@ -268,7 +286,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     residual = np.abs(np.hypot(lam.real, lam.imag) - 1.0)
     q = np.abs(np.angle(lam)) / a
 
-    slot, m = _collapse_pairs(q, residual, residual < bloch_tol, a)
+    slot, m = _collapse_pairs(q, lam.imag >= 0, residual < bloch_tol, a)
     link = _link_points(q, vecs, slot, m, a)
     rows, slots = np.nonzero(np.arange(4) < m[:, None])
     cols = slot[rows, slots]

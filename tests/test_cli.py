@@ -408,7 +408,7 @@ CONFIG_OUTPUT_SHA256 = {
     "check": "e31d7cc61dd451f00bb0e8251e1589a43dcd505fcff042211c8949972286ffad",
     "scatter": "84e21bbad9c892dc5f30d5c32d89ab1f75f8b08cdaf8f7e9e49afe17d3819f8b",
     "device": "5c4388b42b972134ffdfc537ead9ed93c558938de9d364f5bc4b8fb8d5bff491",
-    "bands": "b4880fd1e3318cd533ec78fe7060d48e7dfafb7f99718c7f163f47173bfb9612",
+    "bands": "2f5eca13bfb97583e69c8fc4d5d89bff302151c4190de9068c4ac2f980e38859",
 }
 
 
