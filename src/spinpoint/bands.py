@@ -34,6 +34,7 @@ from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_
 from .device import total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, DefectSpec, check_positive, check_real
+from .scattering import check_momenta, free_channels
 
 __all__ = [
     "PeriodicComb",
@@ -370,8 +371,7 @@ def _scalar_transfer(comb: ScalarComb, k) -> tuple:
     total = (1.0, 0.0, 0.0, 1.0)
     for el in comb.elements + fill:
         if isinstance(el, FreeSegment):
-            cos, sin = np.cos(k * el.length), np.sin(k * el.length)
-            p, q, r, t = cos, sin / k, -k * sin, cos
+            (p, q), (r, t) = free_channels(k, el.length)[..., 0]
         else:
             p, q, r, t = 1.0, -el.x4, 0.0, 1.0
         a, b, c, d = total
@@ -392,10 +392,7 @@ def scalar_dispersion(comb: ScalarComb, k_grid) -> tuple[np.ndarray, np.ndarray,
     |tr T / 2| <= 1, with cos(q a) = tr T / 2.  The transfer is composed
     entry by entry over the whole grid.
     """
-    ks = np.asarray(k_grid, dtype=float)
-    bad = ks[~(np.isfinite(ks) & (ks > 0))]
-    if len(bad):
-        check_positive(float(bad[0]), "momentum")  # raises
+    ks = check_momenta(k_grid)
     a, _, _, d = _scalar_transfer(comb, ks)
     half_trace = np.broadcast_to((a + d) / 2.0, ks.shape)
     band = np.abs(half_trace) <= 1.0

@@ -24,7 +24,7 @@ from .device import Device, FreeSegment, SweepSpec
 from .errors import ConfigError, SpinpointError
 from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_real, conserves_currents
 from .extensions import defect_matrix
-from .scattering import CHANNELS, ScatteringMatrix, scattering_stack
+from .scattering import CHANNELS, ScatteringMatrix
 
 __all__ = [
     "SweepSpec",
@@ -295,8 +295,9 @@ def _run_check(config: RunConfig) -> str:
 
 def _run_scatter(config: RunConfig) -> str:
     ks = config.sweep.grid()
-    transfers = np.broadcast_to(defect_matrix(config.defect), (len(ks), 4, 4))
-    s, singular = scattering_stack(transfers, ks, conservation_tol=config.tolerances.transfer)
+    s, singular = _device.device_scattering(
+        Device((config.defect,)), ks, conservation_tol=config.tolerances.transfer
+    )
     parts = np.stack([s.real, s.imag], axis=-1).reshape(len(ks), 32).T
     residuals = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
     columns = [ks, ks * ks, *parts, residuals, singular.astype(int)]

@@ -12,7 +12,7 @@ from .extensions import DefectSpec, check_positive, check_real, defect_matrix
 from .extensions import r_flip_defect, x1_defect
 from .scattering import CHANNELS, ScatteringMatrix, channel_blocks, channel_index, channel_matrix
 from .scattering import channel_scattering, check_conservation, check_finite, check_momenta
-from .scattering import propagation
+from .scattering import free_channels
 
 __all__ = [
     "FreeSegment",
@@ -20,6 +20,7 @@ __all__ = [
     "SpectrumTable",
     "channel_transfer",
     "total_transfer",
+    "device_scattering",
     "spectrum",
     "preset_resonator",
     "preset_filter",
@@ -83,15 +84,18 @@ class SpectrumTable:
 def channel_transfer(device: Device, k) -> np.ndarray:
     """Channel array (2, 2, *k.shape, 2) of a device's transfer, composed entry by entry.
 
-    The rightmost element's matrix ends up leftmost in the product.  Raises
+    A free segment enters as its :func:`free_channels` entries, a defect as
+    the :func:`channel_blocks` of its matrix; no 4x4 matrix is built.  The
+    rightmost element's matrix ends up leftmost in the product.  Raises
     :class:`InvalidTransferError` at the first momentum where it overflowed.
     """
     ks = check_momenta(k)
     total = ((1, 0), (0, 1))  # the first element's matrix replaces it, with no product
     with np.errstate(over="ignore", invalid="ignore"):
         for i, el in enumerate(device.elements):
-            m = propagation(ks, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
-            (a, b), (c, d) = m = channel_blocks(m)
+            free = isinstance(el, FreeSegment)
+            m = free_channels(ks, el.length) if free else channel_blocks(defect_matrix(el))
+            (a, b), (c, d) = m
             (e, f), (g, h) = total
             total = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)) if i else m
     out = np.empty((2, 2) + ks.shape + (2,), dtype=complex)
@@ -118,6 +122,22 @@ def check_k_grid(k_grid) -> np.ndarray:
     return ks
 
 
+def device_scattering(
+    device: Device, k_grid, *, conservation_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """S-matrices (n, 4, 4) of a device over a momentum grid, and the mask of NaN rows.
+
+    Free propagation conserves the current exactly, so the gate
+    (``conservation_tol``) checks each distinct defect once, at the first
+    momentum; then :func:`channel_scattering` of :func:`channel_transfer`.
+    """
+    ks = check_k_grid(k_grid)
+    defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
+    gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
+    check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
+    return channel_scattering(channel_transfer(device, ks), ks)
+
+
 def spectrum(
     device: Device,
     k_grid,
@@ -127,17 +147,14 @@ def spectrum(
 ) -> SpectrumTable:
     """Evaluate outgoing-channel probabilities over a momentum grid.
 
-    Free propagation conserves the current exactly, so the gate
-    (``conservation_tol``) checks each distinct defect once, at the first
-    momentum.  A momentum whose channel S-matrix is not finite gives a NaN
-    row flagged ``singular`` instead of failing the whole sweep.
+    The S-matrices come from :func:`device_scattering`, which gates each
+    distinct defect once (``conservation_tol``).  A momentum whose channel
+    S-matrix is not finite gives a NaN row flagged ``singular`` instead of
+    failing the whole sweep.
     """
     ks = check_k_grid(k_grid)
     idx = channel_index(incident)
-    defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
-    gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
-    check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
-    s, singular = channel_scattering(channel_transfer(device, ks), ks)
+    s, singular = device_scattering(device, ks, conservation_tol=conservation_tol)
     smat = ScatteringMatrix(matrix=s, k=ks)
     return SpectrumTable(
         k=ks,

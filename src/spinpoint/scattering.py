@@ -43,6 +43,7 @@ __all__ = [
     "ScatteringMatrix",
     "ChannelAmplitudes",
     "channel_index",
+    "free_channels",
     "propagation",
     "channel_blocks",
     "channel_matrix",
@@ -133,30 +134,39 @@ def momentum_from_energy(energy: float) -> float:
 
 
 def check_momenta(k) -> np.ndarray:
-    """One momentum or an array of momenta as floats; raises at the first one not > 0."""
+    """One momentum or an array of momenta as floats; raises at the first one not finite and > 0."""
     ks = np.asarray(k, dtype=float)
-    if not np.all(ks > 0):
-        raise ParameterDomainError(f"momentum must be > 0, got {float(ks[~(ks > 0)][0])!r}")
+    if not np.all(good := np.isfinite(ks) & (ks > 0)):
+        bad = float(ks[~good][0])
+        rule = "> 0" if np.isfinite(bad) else "a finite number"
+        raise ParameterDomainError(f"momentum must be {rule}, got {bad!r}")
     return ks
+
+
+def free_channels(ks: np.ndarray, length: float) -> np.ndarray:
+    """Channel array (2, 2, *ks.shape, 1) of a free segment at checked momenta ``ks``.
+
+    The entries [[cos kL, sin kL / k], [-k sin kL, cos kL]] are the same in
+    both channels, so the channel axis has length 1 and broadcasts.
+    """
+    kl = ks * length
+    c, s = np.cos(kl), np.sin(kl)
+    return np.array([[c, s / ks], [-ks * s, c]])[..., None]
 
 
 def propagation(k, length: float) -> np.ndarray:
     """Transfer matrix of a free segment of the given length.
 
-    Block-diagonal over spin with blocks
-    [[cos kL, sin kL / k], [-k sin kL, cos kL]]; determinant 1.  A scalar
-    ``k`` gives one 4x4 matrix, an array of n momenta an (n, 4, 4) stack.
-    The length must be finite and >= 0.
+    Block-diagonal over spin with the blocks of :func:`free_channels`;
+    determinant 1.  A scalar ``k`` gives one 4x4 matrix, an array of n
+    momenta an (n, 4, 4) stack.  Momenta must be finite and > 0, the length
+    finite and >= 0.
     """
     ks = check_momenta(k)
     if check_real(length, "length") < 0:
         raise ParameterDomainError(f"length must be >= 0, got {length}")
-    c = np.cos(ks * length)
-    s = np.sin(ks * length)
-    block = np.stack([c, s / ks, -ks * s, c], axis=-1).reshape(ks.shape + (2, 2))
-    out = np.zeros(ks.shape + (4, 4), dtype=complex)
-    out[..., :2, :2] = out[..., 2:, 2:] = block
-    return out
+    both = np.broadcast_to(free_channels(ks, length), (2, 2) + ks.shape + (2,))
+    return channel_matrix(both).astype(complex)
 
 
 def channel_blocks(matrix) -> np.ndarray:
@@ -169,8 +179,15 @@ def channel_blocks(matrix) -> np.ndarray:
 def channel_matrix(channels: np.ndarray) -> np.ndarray:
     """The matrix (stack) [[A, B], [B, A]] of a channel array; undoes :func:`channel_blocks`."""
     plus, minus = np.moveaxis(channels, (-1, 0, 1), (0, -2, -1))
-    a, b = (plus + minus) / 2, (plus - minus) / 2
+    a, b = _half_sum(plus, minus), _half_sum(plus, -minus)
     return np.block([[a, b], [b, a]])
+
+
+def _half_sum(x, y):
+    """(x + y) / 2, halving first only where the sum overflows (elsewhere subnormals stay exact)."""
+    with np.errstate(over="ignore"):
+        half = (x + y) / 2
+    return np.where(np.isfinite(half), half, x / 2 + y / 2)
 
 
 def channel_scattering(channels: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

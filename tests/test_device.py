@@ -36,8 +36,8 @@ from spinpoint import (
     x4_defect,
 )
 import spinpoint.device as device_mod
-from spinpoint.device import channel_transfer
-from spinpoint.scattering import channel_scattering
+from spinpoint.device import channel_transfer, device_scattering
+from spinpoint.scattering import channel_blocks, channel_scattering
 
 from matching_oracle import smatrix_by_matching
 
@@ -149,6 +149,65 @@ def test_batched_total_transfer_equals_scalar_calls(n):
     ks = np.geomspace(0.01, 30.0, 300)
     per_k = np.stack([total_transfer(dev, float(k)) for k in ks])
     assert np.array_equal(total_transfer(dev, ks), per_k)
+
+
+def matmul_channel_transfer(device, k):
+    """Reference: every element's 4x4 matrix, free segments too, split by channel_blocks."""
+    ks = np.asarray(k, dtype=float)
+    total = channel_blocks(np.broadcast_to(np.eye(4), ks.shape + (4, 4)))
+    for el in device.elements:
+        m = propagation(ks, el.length) if isinstance(el, FreeSegment) else defect_matrix(el)
+        (a, b), (c, d) = channel_blocks(m)
+        (e, f), (g, h) = total
+        total = np.array([[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]])
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_channel_transfer_equals_the_4x4_element_composition(seed):
+    ks = np.geomspace(1e-8, 1e6, 400)
+    dev = random_device(np.random.default_rng(seed), 200)
+    assert np.array_equal(channel_transfer(dev, ks), matmul_channel_transfer(dev, ks))
+    for dev in (Device(), Device((FreeSegment(1.3),))):
+        assert np.array_equal(channel_transfer(dev, 2.0), matmul_channel_transfer(dev, 2.0))
+
+
+ONE_DEFECT_SPECS = [
+    x1_defect(0.9),
+    x4_defect(-0.7),
+    mass_jump_defect(1.6),
+    flux_defect(0.4),
+    r_flip_defect(0.8),
+    rtilde_flip_defect(-1.1),
+    product_defect((x1_defect(0.5), r_flip_defect(-0.3))),
+    product_defect((mass_jump_defect(0.7), flux_defect(1.2), rtilde_flip_defect(0.2))),
+]
+
+
+def outcome(route):
+    try:
+        return route()
+    except InvalidTransferError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", ONE_DEFECT_SPECS, ids=lambda spec: spec.kind.name)
+def test_device_scattering_of_one_defect_equals_its_scattering_stack(spec):
+    # the scatter command's route: the defect gated once, then its channels
+    ks = np.geomspace(1e-8, 1e6, 500)
+    stack = np.broadcast_to(defect_matrix(spec), (len(ks), 4, 4))
+    s, singular = device_scattering(Device((spec,)), ks)
+    s_stack, singular_stack = scattering_stack(stack, ks)
+    assert np.array_equal(s, s_stack) and np.array_equal(singular, singular_stack)
+    # a defect whose residual is exactly 0 passes any gate, the others fail it alike
+    tight = {"conservation_tol": 1e-300}
+    gated = outcome(lambda: device_scattering(Device((spec,)), ks, **tight))
+    gated_stack = outcome(lambda: scattering_stack(stack, ks, **tight))
+    if isinstance(gated, str) or isinstance(gated_stack, str):
+        assert gated == gated_stack
+        assert gated.startswith("transfer does not conserve the longitudinal current at k=1e-08")
+    else:
+        assert all(map(np.array_equal, gated, gated_stack))
 
 
 def test_transfer_route_matches_matching_oracle():

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from spinpoint import (
     CLOSED_FORM_PERMUTATION,
     Device,
+    FreeSegment,
     InvalidTransferError,
     ParameterDomainError,
+    PeriodicComb,
     ScatteringMatrix,
     SpectralSingularityError,
     channel_index,
@@ -20,6 +22,7 @@ from spinpoint import (
     closed_form_to_grouped,
     compose,
     defect_matrix,
+    dispersion,
     flux_defect,
     mass_jump_defect,
     momentum_from_energy,
@@ -27,12 +30,13 @@ from spinpoint import (
     r_flip_defect,
     rtilde_flip_defect,
     scattering_stack,
+    spectrum,
     total_transfer,
     transfer_to_scattering,
     x1_defect,
     x4_defect,
 )
-from spinpoint.scattering import channel_blocks, channel_matrix
+from spinpoint.scattering import channel_blocks, channel_matrix, free_channels
 
 # A zero transfer has delta = 0 in both channels, so its S-matrix is not
 # finite.  No current-conserving transfer does that, so tests using it
@@ -73,6 +77,30 @@ def test_propagation_domain_errors():
         propagation(ks, 1.0)
     with pytest.raises(ParameterDomainError, match=r"> 0, got -2\.0$"):
         total_transfer(Device((x1_defect(1.0),)), ks)
+    # an infinite or NaN momentum is named as such on every route
+    resonator = Device((x1_defect(1.0), FreeSegment(1.0), x1_defect(1.0)))
+    routes = [
+        lambda ks: propagation(ks, 1.0),
+        lambda ks: total_transfer(resonator, ks),
+        lambda ks: spectrum(resonator, ks),
+        lambda ks: spectrum(Device((x1_defect(1.0),)), ks),
+        lambda ks: dispersion(PeriodicComb(Device((x4_defect(0.5),)), 1.0), ks),
+        lambda ks: transfer_to_scattering(np.eye(4), ks[-1]),
+    ]
+    for bad in (math.inf, -math.inf, math.nan):
+        message = f"^momentum must be a finite number, got {bad!r}$"
+        for route in routes:
+            with pytest.raises(ParameterDomainError, match=message):
+                route(np.array([1.0, bad]))
+
+
+def test_propagation_blocks_are_the_free_channel_entries_up_to_the_largest_momentum():
+    # -k sin kL nears the float limit here, where a sum of two such entries overflows
+    ks = np.geomspace(1e-300, 1.79e308, 2000)
+    m = propagation(ks, 1.0)
+    block = np.moveaxis(free_channels(ks, 1.0)[..., 0], -1, 0)
+    assert np.array_equal(m[:, :2, :2], block) and np.array_equal(m[:, 2:, 2:], block)
+    assert not m[:, :2, 2:].any() and not m[:, 2:, :2].any()
 
 
 def test_batched_propagation_equals_scalar_calls():
