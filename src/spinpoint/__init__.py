@@ -15,8 +15,6 @@ from .bands import (
     Branch,
     CurvatureFit,
     PeriodicComb,
-    ScalarComb,
-    ScalarDefect,
     SlopeFit,
     band_edges,
     cell_transfer,

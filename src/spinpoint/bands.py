@@ -16,10 +16,13 @@ momenta are reported in ``BandDiagram.flagged_k``.
 
 Combs built purely from spin-flip defects of the derivative-coupling type
 block-diagonalize in the rotated spin basis (up +- down)/sqrt(2) into two
-scalar value-jump combs, which gives an independent route to the same
-spectrum: the Kronig-Penney trace condition cos(qa) = tr T / 2 of each
-scalar comb (:func:`scalar_dispersion`, and :func:`scalar_kp_relation` for
-one defect per period).
+scalar value-jump combs (:func:`spin_decouple`), each a :class:`PeriodicComb`
+of ``x4`` defects with the same free segments and period.  The scalar route
+composes one 2x2 channel of such a comb with its own product loop, which
+gives an independent check of the same spectrum: the Kronig-Penney trace
+condition cos(qa) = tr T / 2 of each scalar comb (:func:`scalar_dispersion`,
+and :func:`scalar_kp_relation` for one defect per period, whose band edges
+:func:`band_edges` brackets in one batched scan).
 """
 
 from __future__ import annotations
@@ -33,15 +36,13 @@ import numpy as np
 from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_grid
 from .device import total_transfer
 from .errors import FitWindowError, ParameterDomainError
-from .extensions import DefectKind, DefectSpec, check_positive, check_real
-from .scattering import check_momenta, free_channels
+from .extensions import DefectKind, check_positive, check_real, x4_defect
+from .scattering import _half_sum, check_finite, check_momenta, free_channels
 
 __all__ = [
     "PeriodicComb",
     "BandDiagram",
     "Branch",
-    "ScalarDefect",
-    "ScalarComb",
     "CurvatureFit",
     "SlopeFit",
     "cell_transfer",
@@ -315,77 +316,63 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     )
 
 
-@dataclass(frozen=True)
-class ScalarDefect:
-    """Spinless value-jump defect of strength x4 (boundary block [[1,-x4],[0,1]])."""
-
-    x4: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x4", check_real(self.x4, "x4"))
-
-
-@dataclass(frozen=True)
-class ScalarComb:
-    """Scalar (single-channel) comb of value-jump defects."""
-
-    elements: tuple[ScalarDefect | FreeSegment, ...]
-    period: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "period", check_positive(self.period, "period"))
-
-    @property
-    def fill_length(self) -> float:
-        internal = sum(el.length for el in self.elements if isinstance(el, FreeSegment))
-        return max(self.period - internal, 0.0)
-
-
-def spin_decouple(comb: PeriodicComb) -> tuple[ScalarComb, ScalarComb] | None:
+def spin_decouple(comb: PeriodicComb) -> tuple[PeriodicComb, PeriodicComb] | None:
     """Split a pure spin-flip comb into its two scalar value-jump channels.
 
     In the basis (up + down)/sqrt(2), (up - down)/sqrt(2) every spin-flip
     defect of strength r block-diagonalizes into value-jump blocks
     [[1, +r],[0,1]] and [[1, -r],[0,1]], i.e. scalar strengths x4 = -r and
-    x4 = +r.  Returns ``(comb with x4=-r, comb with x4=+r)``, or None when
-    the cell contains any other defect kind (inapplicable).
+    x4 = +r.  Returns ``(comb of x4_defect(-r), comb of x4_defect(+r))``
+    with the same free segments and period, or None when the cell contains
+    any other defect kind (inapplicable).
     """
-    minus: list[ScalarDefect | FreeSegment] = []
-    plus: list[ScalarDefect | FreeSegment] = []
-    for el in comb.cell.elements:
-        if isinstance(el, FreeSegment):
-            minus.append(el)
-            plus.append(el)
-        elif isinstance(el, DefectSpec) and el.kind is DefectKind.R_FLIP:
-            minus.append(ScalarDefect(x4=-el.value))
-            plus.append(ScalarDefect(x4=+el.value))
-        else:
-            return None
-    return ScalarComb(tuple(minus), comb.period), ScalarComb(tuple(plus), comb.period)
+    elements = comb.cell.elements
+    if not all(isinstance(el, FreeSegment) or el.kind is DefectKind.R_FLIP for el in elements):
+        return None
+    cells = (
+        Device(el if isinstance(el, FreeSegment) else x4_defect(sign * el.value) for el in elements)
+        for sign in (-1.0, 1.0)
+    )
+    return tuple(PeriodicComb(cell, comb.period) for cell in cells)
 
 
-def _scalar_transfer(comb: ScalarComb, k) -> tuple:
-    """Entries (a, b, c, d) of the 2x2 period transfer, composed elementwise over ``k``."""
-    fill = (FreeSegment(comb.fill_length),) if comb.fill_length > 0 else ()
+def _scalar_transfer(comb: PeriodicComb, ks: np.ndarray) -> np.ndarray:
+    """Entries (a, b, c, d) of one channel's 2x2 period transfer, composed elementwise over ``ks``.
+
+    The cell may hold only ``x4`` defects (block [[1, -x4], [0, 1]]) and
+    free segments.  Returns a (4, *ks.shape) array; raises
+    :class:`InvalidTransferError` at the first momentum where it overflowed.
+    """
     total = (1.0, 0.0, 0.0, 1.0)
-    for el in comb.elements + fill:
-        if isinstance(el, FreeSegment):
-            (p, q), (r, t) = free_channels(k, el.length)[..., 0]
-        else:
-            p, q, r, t = 1.0, -el.x4, 0.0, 1.0
-        a, b, c, d = total
-        total = (p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d)
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for el in _period_device(comb).elements:
+            if isinstance(el, FreeSegment):
+                (p, q), (r, t) = free_channels(ks, el.length)[..., 0]
+            elif el.kind is DefectKind.X4:
+                p, q, r, t = 1.0, -el.value, 0.0, 1.0
+            else:
+                raise ParameterDomainError(
+                    f"a scalar comb holds only x4 defects and free segments, got {el.kind.value}"
+                )
+            a, b, c, d = total
+            total = (p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d)
+    # a period (> 0) always holds a free segment, so every entry has the shape of ks
+    entries = np.array(total)
+    check_finite(np.isfinite(entries).all(axis=0), ks)
+    return entries
 
 
-def scalar_cell_transfer(comb: ScalarComb, k: float) -> np.ndarray:
-    """2x2 transfer across one period of a scalar comb."""
-    a, b, c, d = _scalar_transfer(comb, check_positive(k, "momentum"))
-    return np.array([[a, b], [c, d]], dtype=float)
+def scalar_cell_transfer(comb: PeriodicComb, k) -> np.ndarray:
+    """2x2 transfer across one period of a scalar comb (:func:`spin_decouple`).
+
+    A scalar ``k`` gives one 2x2 matrix, an array of n momenta an (n, 2, 2)
+    stack.
+    """
+    ks = check_momenta(k)
+    return np.moveaxis(_scalar_transfer(comb, ks).reshape((2, 2) + ks.shape), (0, 1), (-2, -1))
 
 
-def scalar_dispersion(comb: ScalarComb, k_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def scalar_dispersion(comb: PeriodicComb, k_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagating (k, q, E) points of a scalar comb via the trace condition.
 
     The cell transfer has unit determinant, so Bloch solutions exist iff
@@ -394,21 +381,26 @@ def scalar_dispersion(comb: ScalarComb, k_grid) -> tuple[np.ndarray, np.ndarray,
     """
     ks = check_momenta(k_grid)
     a, _, _, d = _scalar_transfer(comb, ks)
-    half_trace = np.broadcast_to((a + d) / 2.0, ks.shape)
+    half_trace = _half_sum(a, d)
     band = np.abs(half_trace) <= 1.0
     k = ks[band]
     return k, np.arccos(half_trace[band]) / comb.period, np.float_power(k, 2)
 
 
-def scalar_kp_relation(x4: float, a: float, k: float) -> float:
+def scalar_kp_relation(x4: float, a: float, k):
     """cos(qa) candidate for a one-defect-per-period value-jump comb.
 
-    Returns cos(ka) + (x4*k/2)*sin(ka); k propagates iff the value lies
-    in [-1, 1].  ``x4`` must be finite, and ``a`` and ``k`` finite and > 0.
+    Returns cos(ka) + (x4*k/2)*sin(ka), a float for one ``k`` and an array
+    for an array of momenta; k propagates iff the value lies in [-1, 1].
+    ``x4`` must be finite, and ``a`` and every ``k`` finite and > 0.
     """
-    x4, a, k = check_real(x4, "x4"), check_positive(a, "a"), check_positive(k, "momentum")
-    ka = check_real(k * a, "k * a")
-    return math.cos(ka) + 0.5 * x4 * k * math.sin(ka)
+    x4, a, ks = check_real(x4, "x4"), check_positive(a, "a"), check_momenta(k)
+    with np.errstate(over="ignore"):
+        ka = ks * a
+    if not np.isfinite(ka).all():
+        raise ParameterDomainError("k * a must be a finite number")
+    value = np.cos(ka) + 0.5 * x4 * ks * np.sin(ka)
+    return float(value) if value.ndim == 0 else value
 
 
 def _bisect(g, lo: float, hi: float, g_lo: float, xtol: float = 1e-13) -> float:
@@ -449,16 +441,15 @@ def band_edges(x4: float, a: float, k_max: float, *, scan_step: float = 0.01) ->
 
     step = scan_step / a
     ks = np.arange(step, k_max + step, step)
-    edges = []
-    prev_k, prev_g = float(ks[0]), g(float(ks[0]))
-    for k in ks[1:]:
-        cur_g = g(float(k))
-        if prev_g == 0.0:
-            edges.append(prev_k)
-        elif prev_g * cur_g < 0:
-            edges.append(_bisect(g, prev_k, float(k), prev_g))
-        prev_k, prev_g = float(k), cur_g
-    return np.array(edges)
+    gs = np.abs(scalar_kp_relation(x4, a, ks)) - 1.0
+    # an exact zero at the left end of a step is an edge; a sign change is bisected
+    zero, change = gs[:-1] == 0.0, gs[:-1] * gs[1:] < 0
+    return np.array(
+        [
+            ks[i] if zero[i] else _bisect(g, float(ks[i]), float(ks[i + 1]), float(gs[i]))
+            for i in np.flatnonzero(zero | change)
+        ]
+    )
 
 
 @dataclass(frozen=True)

@@ -160,13 +160,16 @@ def propagation(k, length: float) -> np.ndarray:
     Block-diagonal over spin with the blocks of :func:`free_channels`;
     determinant 1.  A scalar ``k`` gives one 4x4 matrix, an array of n
     momenta an (n, 4, 4) stack.  Momenta must be finite and > 0, the length
-    finite and >= 0.
+    finite and >= 0; raises :class:`InvalidTransferError` at the first
+    momentum where the matrix overflowed.
     """
     ks = check_momenta(k)
     if check_real(length, "length") < 0:
         raise ParameterDomainError(f"length must be >= 0, got {length}")
-    both = np.broadcast_to(free_channels(ks, length), (2, 2) + ks.shape + (2,))
-    return channel_matrix(both).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        free = free_channels(ks, length)
+    check_finite(np.isfinite(free).all(axis=(0, 1, -1)), ks)
+    return channel_matrix(np.broadcast_to(free, (2, 2) + ks.shape + (2,))).astype(complex)
 
 
 def channel_blocks(matrix) -> np.ndarray:

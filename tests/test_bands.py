@@ -17,8 +17,6 @@ from spinpoint import (
     InvalidTransferError,
     ParameterDomainError,
     PeriodicComb,
-    ScalarComb,
-    ScalarDefect,
     band_edges,
     cell_transfer,
     defect_matrix,
@@ -38,7 +36,7 @@ from spinpoint import (
     x1_defect,
     x4_defect,
 )
-from spinpoint.bands import _link_points
+from spinpoint.bands import _bisect, _link_points
 
 # involutive basis change to the (up +- down)/sqrt(2) spin channels
 MIX = np.array(
@@ -118,7 +116,7 @@ def test_scalar_relation_massless_expansion():
 
 def test_scalar_cell_half_trace_equals_relation():
     x4, a = 0.45, 1.3
-    comb = ScalarComb((ScalarDefect(x4),), a)
+    comb = PeriodicComb(Device((x4_defect(x4),)), a)
     for k in (0.2, 1.7, 4.4):
         half_trace = float(np.trace(scalar_cell_transfer(comb, k))) / 2
         assert half_trace == pytest.approx(scalar_kp_relation(x4, a, k), abs=1e-13)
@@ -200,23 +198,23 @@ def test_dispersion_of_an_opaque_cell_raises_no_warning():
 
 def test_spin_decouple_strengths():
     minus, plus = spin_decouple(flip_comb(0.5))
-    assert minus.elements[0].x4 == -0.5
-    assert plus.elements[0].x4 == +0.5
+    assert minus.cell.elements == (x4_defect(-0.5),)
+    assert plus.cell.elements == (x4_defect(+0.5),)
     assert minus.period == plus.period == 1.0
 
 
 def test_spin_decouple_zero_coupling_gives_free_combs():
     minus, plus = spin_decouple(flip_comb(0.0))
-    assert all(el.x4 == 0.0 for el in minus.elements)
-    assert all(el.x4 == 0.0 for el in plus.elements)
+    assert all(el.value == 0.0 for el in minus.cell.elements)
+    assert all(el.value == 0.0 for el in plus.cell.elements)
 
 
 def test_spin_decouple_keeps_geometry():
     cell = Device((r_flip_defect(0.3), FreeSegment(0.4), r_flip_defect(-0.2)))
     minus, plus = spin_decouple(PeriodicComb(cell, 2.0))
-    assert isinstance(minus.elements[1], FreeSegment)
-    assert minus.elements[1].length == 0.4
-    assert plus.elements[2].x4 == -0.2
+    assert minus.cell.elements[1] == plus.cell.elements[1] == FreeSegment(0.4)
+    assert plus.cell.elements[2] == x4_defect(-0.2)
+    assert minus.period == plus.period == 2.0
 
 
 def test_spin_decouple_inapplicable():
@@ -533,7 +531,7 @@ def test_band_edges_scalar_vs_eigencount():
     a, k_max = 1.0, 7.0
     for x4 in (-0.5, 0.5):
         scalar_edges = band_edges(x4, a, k_max)
-        comb = ScalarComb((ScalarDefect(x4),), a)
+        comb = PeriodicComb(Device((x4_defect(x4),)), a)
 
         def propagating(k):
             lam = np.linalg.eigvals(scalar_cell_transfer(comb, k))
@@ -612,7 +610,7 @@ def test_band_edges_domain_errors(args, kwargs, message):
         ((math.nan, 1.0, 1.0), r"^x4 must be a finite number"),
         ((0.5, math.inf, 1.0), r"^a must be a finite number"),
         ((0.5, 0.0, 1.0), r"^a must be > 0, got 0\.0$"),
-        ((0.5, 1.0, math.inf), r"^momentum must be a finite number"),
+        ((0.5, 1.0, math.inf), r"^momentum must be a finite number, got inf$"),
         ((0.5, 1e200, 1e200), r"^k \* a must be a finite number"),
     ],
 )
@@ -621,15 +619,109 @@ def test_scalar_kp_relation_domain_errors(args, message):
         scalar_kp_relation(*args)
 
 
-def test_scalar_comb_rejects_non_finite_numbers():
+def test_scalar_cell_transfer_momentum_errors():
+    comb = PeriodicComb(Device((x4_defect(0.5),)), 1.0)
+    with pytest.raises(ParameterDomainError, match=r"^momentum must be a finite number, got inf$"):
+        scalar_cell_transfer(comb, math.inf)
+    with pytest.raises(ParameterDomainError, match=r"^momentum must be > 0, got 0\.0$"):
+        scalar_cell_transfer(comb, 0.0)
+
+
+def test_scalar_route_takes_checked_comb_records():
+    # the scalar route takes the PeriodicComb of dispersion, with its checks
     with pytest.raises(ParameterDomainError, match="period must be a finite number"):
-        ScalarComb((), math.inf)
-    with pytest.raises(ParameterDomainError, match="x4 must be a finite number"):
-        ScalarDefect(math.nan)
+        PeriodicComb(Device((x4_defect(1.0),)), math.inf)
     with pytest.raises(ParameterDomainError, match="period must be > 0"):
-        ScalarComb((), 0.0)
-    comb = ScalarComb([ScalarDefect(1)], 2)
-    assert comb.period == 2.0 and comb.elements[0].x4 == 1.0
+        PeriodicComb(Device(), 0.0)
+    with pytest.raises(ParameterDomainError, match="'x4' of a x4 defect must be a finite number"):
+        x4_defect(math.nan)
+    overlong = r"internal free length 2\.0 exceeds period 1\.0"
+    with pytest.raises(ParameterDomainError, match=overlong):
+        PeriodicComb(Device((x4_defect(1.0), FreeSegment(2.0))), 1.0)
+    comb = PeriodicComb(Device((x4_defect(1), FreeSegment(1))), 2)
+    assert comb.period == 2.0 and comb.fill_length == 1.0
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda comb: scalar_dispersion(comb, [1.0]), lambda comb: scalar_cell_transfer(comb, 1.0)],
+)
+@pytest.mark.parametrize("defect", [x1_defect(1.0), r_flip_defect(0.5)])
+def test_scalar_route_rejects_other_defect_kinds(route, defect):
+    comb = PeriodicComb(Device((x4_defect(0.5), FreeSegment(0.2), defect)), 1.0)
+    message = f"only x4 defects and free segments, got {defect.kind.value}$"
+    with pytest.raises(ParameterDomainError, match=message):
+        route(comb)
+
+
+def test_dispersion_of_a_decoupled_comb_equals_scalar_dispersion():
+    cell = Device((r_flip_defect(0.6), FreeSegment(0.3), r_flip_defect(-0.4), FreeSegment(0.5)))
+    ks = np.linspace(0.05, 12.0, 400)
+    for scalar in spin_decouple(PeriodicComb(cell, 1.3)):
+        # away from band edges, where arccos amplifies round-off in the trace
+        transfer = scalar_cell_transfer(scalar, ks)
+        half_trace = (transfer[:, 0, 0] + transfer[:, 1, 1]) / 2
+        grid = ks[np.abs(np.abs(half_trace) - 1.0) > 1e-6]
+        diagram = dispersion(scalar, grid)
+        k, q, energy = scalar_dispersion(scalar, grid)
+        assert 0 < len(k) < len(grid)
+        assert np.array_equal(diagram.k, k) and np.array_equal(diagram.energy, energy)
+        assert np.abs(diagram.q - q).max() <= 1e-12
+
+
+def test_scalar_cell_transfer_of_an_array_stacks_scalar_calls():
+    comb = spin_decouple(PeriodicComb(Device((r_flip_defect(0.7), FreeSegment(0.4))), 1.1))[1]
+    ks = np.linspace(0.01, 20.0, 300)
+    per_k = np.stack([scalar_cell_transfer(comb, float(k)) for k in ks])
+    assert np.array_equal(scalar_cell_transfer(comb, ks), per_k)
+
+
+def test_scalar_route_overflow_raises_invalid_transfer_error():
+    # k * 7.7 exceeds the float range at k = 1e308 only; a warning would fail the test
+    ks = [1.0, 1e307, 1e308]
+    for scalar in spin_decouple(flip_comb(0.5, 7.7)):
+        with pytest.raises(InvalidTransferError, match=r"overflowed at k=1e\+308;"):
+            scalar_dispersion(scalar, ks)
+        with pytest.raises(InvalidTransferError, match=r"overflowed at k=1e\+308;"):
+            scalar_cell_transfer(scalar, 1e308)
+
+
+def scan_band_edges(x4, a, k_max, scan_step=0.01):
+    """The per-point scan that band_edges replaced: one scalar relation call per scan point."""
+
+    def g(k):
+        return abs(scalar_kp_relation(x4, a, k)) - 1.0
+
+    ks = np.arange(scan_step / a, k_max + scan_step / a, scan_step / a)
+    edges, prev_k, prev_g = [], float(ks[0]), g(float(ks[0]))
+    for k in map(float, ks[1:]):
+        cur_g = g(k)
+        if prev_g == 0.0:
+            edges.append(prev_k)
+        elif prev_g * cur_g < 0:
+            edges.append(_bisect(g, prev_k, k, prev_g))
+        prev_k, prev_g = k, cur_g
+    return np.array(edges)
+
+
+@pytest.mark.parametrize(
+    "args, scan_step",
+    [(args, 0.01) for args in sorted(PINNED_EDGES)]
+    # gaps of width ~ x4 * k: below k ~ 10 the scan steps over those of x4 = 1e-3
+    + [(args, 0.01) for args in ((1e-3, 1.0, 40.0), (40.0, 1.0, 7.0), (-2.0, 1.0, 7.0))]
+    # the scan lands on ka = pi, where |cos| - 1 is exactly 0 with no sign change
+    + [((0.0, 1.0, 7.0), math.pi / 100)],
+)
+def test_band_edges_equals_the_per_point_scan(args, scan_step):
+    assert np.array_equal(band_edges(*args, scan_step=scan_step), scan_band_edges(*args, scan_step))
+
+
+def test_scalar_kp_relation_of_an_array_equals_scalar_calls():
+    ks = np.geomspace(1e-3, 1e3, 2000)
+    for x4, a in ((0.5, 1.0), (-2.0, 0.7), (40.0, 1.3)):
+        per_k = [scalar_kp_relation(x4, a, float(k)) for k in ks]
+        assert all(type(value) is float for value in per_k)
+        assert np.array_equal(scalar_kp_relation(x4, a, ks), per_k)
 
 
 def test_effective_mass_free_branch():

@@ -103,6 +103,20 @@ def test_propagation_blocks_are_the_free_channel_entries_up_to_the_largest_momen
     assert not m[:, :2, 2:].any() and not m[:, 2:, :2].any()
 
 
+def test_propagation_overflow_raises_invalid_transfer_error():
+    # k * 7.7 exceeds the float range at k = 1e308 only; a warning would fail the test
+    ks = [1.0, 1e307, 1e308]
+    comb = PeriodicComb(Device((r_flip_defect(0.5),)), 7.7)
+    routes = [
+        lambda: propagation(ks, 7.7),
+        lambda: total_transfer(Device((FreeSegment(7.7),)), ks),
+        lambda: dispersion(comb, ks),
+    ]
+    for route in routes:
+        with pytest.raises(InvalidTransferError, match=r"overflowed at k=1e\+308;"):
+            route()
+
+
 def test_batched_propagation_equals_scalar_calls():
     rng = np.random.default_rng(7)
     ks = np.sort(rng.uniform(0.01, 40.0, 500))
