@@ -69,7 +69,6 @@ from .scattering import (
     CHANNELS,
     CLOSED_FORM_CHANNELS,
     CLOSED_FORM_PERMUTATION,
-    ChannelAmplitudes,
     ScatteringMatrix,
     channel_index,
     channel_probabilities,

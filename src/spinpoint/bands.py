@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class BandDiagram:
     branch_id: np.ndarray
     lambda_residual: np.ndarray  # | |lambda| - 1 | of the accepted eigenvalue
     flagged_k: tuple[float, ...] = ()
-    metadata: dict = field(default_factory=dict)
 
     def branches(self) -> list[Branch]:
         out = []
@@ -278,8 +277,10 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     block (its two roots coincide but it is not a multiple of the
     identity, so it has one eigenvector) are reported in ``flagged_k``.
     Raises :class:`InvalidTransferError` at the first momentum whose cell
-    transfer overflowed.
+    transfer overflowed.  ``bloch_tol`` must be > 0.
     """
+    if not bloch_tol > 0:
+        raise ParameterDomainError(f"bloch_tol must be > 0, got {bloch_tol}")
     ks = check_k_grid(k_grid)
     a = comb.period
     lam, vecs, jordan = _channel_roots(comb, ks)
@@ -312,7 +313,6 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
         branch_id=(np.cumsum(opens) - 1)[head],
         lambda_residual=residual[rows, cols],
         flagged_k=tuple(ks[jordan].tolist()),
-        metadata={"bloch_tol": bloch_tol},
     )
 
 
@@ -424,7 +424,9 @@ def band_edges(x4: float, a: float, k_max: float, *, scan_step: float = 0.01) ->
     """Band-edge momenta of the one-defect scalar comb below ``k_max``.
 
     Scans |cos(qa) candidate| - 1 with bracket step ka = ``scan_step`` and
-    refines each sign change by root bisection to a bracket of 1e-13.
+    refines each sign change by root bisection to a bracket of 1e-13.  A gap is found only
+    if a scan point, spaced ``scan_step / a`` in k, falls inside it: ``band_edges(1e-3, 1.0,
+    7.0)`` finds none, while ``scan_step=1e-5`` finds the gaps at ka = pi and 2 pi.
     ``x4``, ``a``, ``k_max`` and ``scan_step`` must be finite, and all but
     ``x4`` must be > 0; the scan may hold no more points than a k grid.
     """

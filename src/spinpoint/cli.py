@@ -24,7 +24,7 @@ from .device import Device, FreeSegment, SweepSpec
 from .errors import ConfigError, SpinpointError
 from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_real, conserves_currents
 from .extensions import defect_matrix
-from .scattering import CHANNELS, ScatteringMatrix
+from .scattering import CHANNELS
 
 __all__ = [
     "SweepSpec",
@@ -294,13 +294,11 @@ def _run_check(config: RunConfig) -> str:
 
 
 def _run_scatter(config: RunConfig) -> str:
-    ks = config.sweep.grid()
-    s, singular = _device.device_scattering(
-        Device((config.defect,)), ks, conservation_tol=config.tolerances.transfer
+    table = _device.spectrum(
+        Device((config.defect,)), config.sweep.grid(), conservation_tol=config.tolerances.transfer
     )
-    parts = np.stack([s.real, s.imag], axis=-1).reshape(len(ks), 32).T
-    residuals = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
-    columns = [ks, ks * ks, *parts, residuals, singular.astype(int)]
+    parts = np.stack([table.smatrix.real, table.smatrix.imag], -1).reshape(len(table), 32).T
+    columns = [table.k, table.energy, *parts, table.unitarity_residual, table.singular.astype(int)]
     short = ("Lu", "Ld", "Ru", "Rd")  # CHANNELS, abbreviated
     names = [f"s_{out}_{inc}_{part}" for out in short for inc in short for part in ("re", "im")]
     return _csv("scatter", ",".join(["k", "E", *names, "unitarity_residual", "singular"]), columns)

@@ -20,7 +20,6 @@ __all__ = [
     "SpectrumTable",
     "channel_transfer",
     "total_transfer",
-    "device_scattering",
     "spectrum",
     "preset_resonator",
     "preset_filter",
@@ -68,10 +67,11 @@ class Device:
 
 @dataclass(eq=False)
 class SpectrumTable:
-    """Per-momentum outgoing-channel probabilities for one incident channel."""
+    """A device's S-matrices over a momentum grid, and one incident channel's probabilities."""
 
     k: np.ndarray
     energy: np.ndarray
+    smatrix: np.ndarray  # shape (n, 4, 4), grouped channel order; NaN on singular rows
     probabilities: np.ndarray  # shape (n, 4), grouped channel order
     unitarity_residual: np.ndarray
     singular: np.ndarray  # bool
@@ -122,22 +122,6 @@ def check_k_grid(k_grid) -> np.ndarray:
     return ks
 
 
-def device_scattering(
-    device: Device, k_grid, *, conservation_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """S-matrices (n, 4, 4) of a device over a momentum grid, and the mask of NaN rows.
-
-    Free propagation conserves the current exactly, so the gate
-    (``conservation_tol``) checks each distinct defect once, at the first
-    momentum; then :func:`channel_scattering` of :func:`channel_transfer`.
-    """
-    ks = check_k_grid(k_grid)
-    defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
-    gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
-    check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
-    return channel_scattering(channel_transfer(device, ks), ks)
-
-
 def spectrum(
     device: Device,
     k_grid,
@@ -145,20 +129,24 @@ def spectrum(
     *,
     conservation_tol: float = 1e-10,
 ) -> SpectrumTable:
-    """Evaluate outgoing-channel probabilities over a momentum grid.
+    """Sweep a device's S-matrices and one incident channel's probabilities over a k grid.
 
-    The S-matrices come from :func:`device_scattering`, which gates each
-    distinct defect once (``conservation_tol``).  A momentum whose channel
-    S-matrix is not finite gives a NaN row flagged ``singular`` instead of
-    failing the whole sweep.
+    Free propagation conserves the current exactly, so the gate (``conservation_tol``)
+    checks each distinct defect once, at the first momentum; the S stack ``smatrix`` is then
+    :func:`channel_scattering` of :func:`channel_transfer`.  A momentum whose S-matrix is
+    not finite gives a NaN row flagged ``singular`` instead of failing the whole sweep.
     """
     ks = check_k_grid(k_grid)
     idx = channel_index(incident)
-    s, singular = device_scattering(device, ks, conservation_tol=conservation_tol)
+    defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
+    gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
+    check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
+    s, singular = channel_scattering(channel_transfer(device, ks), ks)
     smat = ScatteringMatrix(matrix=s, k=ks)
     return SpectrumTable(
         k=ks,
         energy=ks * ks,
+        smatrix=s,
         probabilities=smat.probabilities(idx),
         unitarity_residual=smat.unitarity_residual(),
         singular=singular,

@@ -41,7 +41,6 @@ __all__ = [
     "CLOSED_FORM_CHANNELS",
     "CLOSED_FORM_PERMUTATION",
     "ScatteringMatrix",
-    "ChannelAmplitudes",
     "channel_index",
     "free_channels",
     "propagation",
@@ -96,10 +95,6 @@ class ScatteringMatrix:
     matrix: np.ndarray
     k: float
 
-    @property
-    def energy(self) -> float:
-        return self.k * self.k
-
     def unitarity_residual(self):
         """Max-abs entry of S^dag S - 1; an array for a stack of matrices."""
         residual = current_residual(self.matrix)
@@ -110,22 +105,6 @@ class ScatteringMatrix:
 
     def probabilities(self, incident: int | str) -> np.ndarray:
         return channel_probabilities(self, incident)
-
-    def apply(self, incoming) -> "ChannelAmplitudes":
-        inc = np.asarray(incoming, dtype=complex).reshape(4)
-        return ChannelAmplitudes(incoming=inc, outgoing=self.matrix @ inc)
-
-
-@dataclass(eq=False)
-class ChannelAmplitudes:
-    """Incoming/outgoing plane-wave amplitudes in grouped channel order."""
-
-    incoming: np.ndarray
-    outgoing: np.ndarray
-
-    def flux_mismatch(self) -> float:
-        """|outgoing|^2 - |incoming|^2; vanishes for a unitary map."""
-        return float(np.sum(np.abs(self.outgoing) ** 2) - np.sum(np.abs(self.incoming) ** 2))
 
 
 def momentum_from_energy(energy: float) -> float:
@@ -231,7 +210,10 @@ def check_finite(finite: np.ndarray, ks: np.ndarray) -> None:
 def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> None:
     """Raise at the first momentum whose transfer overflowed, fails M^dag F_x M = F_x or does
     not commute with the spin swap; residuals are relative to the (squared) matrix scale.
+    ``tol`` must be > 0; ``inf`` passes every finite transfer.
     """
+    if not tol > 0:
+        raise ParameterDomainError(f"conservation_tol must be > 0, got {tol}")
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.abs(transfers).max(axis=(-2, -1)) ** 2)
         current = current_residual(transfers, _FORM_X) / scale

@@ -524,7 +524,14 @@ def test_dispersion_diagram_even_in_q_by_construction():
     diagram = dispersion(flip_comb(0.4), np.linspace(0.1, 5.0, 40))
     assert np.all(diagram.q >= 0)
     assert np.all(diagram.q <= np.pi / diagram.period + 1e-12)
-    assert diagram.lambda_residual.max() < diagram.metadata["bloch_tol"]
+    assert diagram.lambda_residual.max() < 1e-8  # the default bloch_tol
+
+
+@pytest.mark.parametrize("bloch_tol", [math.nan, 0.0, -1.0])
+def test_dispersion_bloch_tol_must_be_positive(bloch_tol):
+    # such a tolerance would accept no root and return an empty diagram
+    with pytest.raises(ParameterDomainError, match=rf"^bloch_tol must be > 0, got {bloch_tol}$"):
+        dispersion(flip_comb(0.4), np.linspace(0.1, 5.0, 40), bloch_tol=bloch_tol)
 
 
 def test_band_edges_scalar_vs_eigencount():
@@ -583,6 +590,17 @@ def test_band_edges_pinned_and_on_the_band_boundary(args):
     assert np.abs(edges - PINNED_EDGES[args]).max() <= 1e-13
     for k in edges:
         assert abs(abs(scalar_kp_relation(x4, a, float(k))) - 1.0) <= 1e-12
+
+
+def test_band_edges_finds_only_gaps_wider_than_the_scan_step():
+    # the gaps at ka = pi and 2 pi are ~0.003 and ~0.006 wide, below the default step of 0.01
+    assert len(band_edges(1e-3, 1.0, 7.0)) == 0
+    assert band_edges(1e-3, 1.0, 40.0)[0] == pytest.approx(3 * np.pi)
+    edges = band_edges(1e-3, 1.0, 7.0, scan_step=1e-5)
+    expected = [3.14159, 3.14474, 6.28319, 6.28947]
+    assert np.abs(edges - expected).max() <= 5e-6
+    for k in edges:
+        assert abs(abs(scalar_kp_relation(1e-3, 1.0, float(k))) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(

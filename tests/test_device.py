@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpoint import (
+    CHANNELS,
     ConfigError,
     Device,
     DefectKind,
@@ -36,7 +37,7 @@ from spinpoint import (
     x4_defect,
 )
 import spinpoint.device as device_mod
-from spinpoint.device import channel_transfer, device_scattering
+from spinpoint.device import channel_transfer
 from spinpoint.scattering import channel_blocks, channel_scattering
 
 from matching_oracle import smatrix_by_matching
@@ -192,22 +193,24 @@ def outcome(route):
 
 
 @pytest.mark.parametrize("spec", ONE_DEFECT_SPECS, ids=lambda spec: spec.kind.name)
-def test_device_scattering_of_one_defect_equals_its_scattering_stack(spec):
+def test_spectrum_of_one_defect_equals_its_scattering_stack(spec):
     # the scatter command's route: the defect gated once, then its channels
     ks = np.geomspace(1e-8, 1e6, 500)
     stack = np.broadcast_to(defect_matrix(spec), (len(ks), 4, 4))
-    s, singular = device_scattering(Device((spec,)), ks)
+    table = spectrum(Device((spec,)), ks)
     s_stack, singular_stack = scattering_stack(stack, ks)
-    assert np.array_equal(s, s_stack) and np.array_equal(singular, singular_stack)
+    assert np.array_equal(table.smatrix, s_stack, equal_nan=True)
+    assert np.array_equal(table.singular, singular_stack)
     # a defect whose residual is exactly 0 passes any gate, the others fail it alike
     tight = {"conservation_tol": 1e-300}
-    gated = outcome(lambda: device_scattering(Device((spec,)), ks, **tight))
+    gated = outcome(lambda: spectrum(Device((spec,)), ks, **tight))
     gated_stack = outcome(lambda: scattering_stack(stack, ks, **tight))
     if isinstance(gated, str) or isinstance(gated_stack, str):
         assert gated == gated_stack
         assert gated.startswith("transfer does not conserve the longitudinal current at k=1e-08")
     else:
-        assert all(map(np.array_equal, gated, gated_stack))
+        assert np.array_equal(gated.smatrix, gated_stack[0], equal_nan=True)
+        assert np.array_equal(gated.singular, gated_stack[1])
 
 
 def test_transfer_route_matches_matching_oracle():
@@ -320,6 +323,18 @@ def test_spectrum_flags_singular_rows(monkeypatch):
     assert table.singular.any() and not table.singular.all()
     assert np.isnan(table.probabilities[table.singular]).all()
     assert not np.isnan(table.probabilities[~table.singular]).any()
+
+
+def test_spectrum_smatrix_is_nan_exactly_on_singular_rows():
+    # the defect's coupling over k, 1e150 / 1e-160, overflows at the first momentum only
+    device, ks = Device((x1_defect(1e150),)), [1e-160, 1.0]
+    table = spectrum(device, ks)
+    assert table.singular.tolist() == [True, False]
+    assert table.smatrix.shape == (2, 4, 4)
+    assert np.isnan(table.smatrix[0]).all() and np.isfinite(table.smatrix[1]).all()
+    for idx, channel in enumerate(CHANNELS):
+        probs = spectrum(device, ks, incident=channel).probabilities
+        assert np.array_equal(probs, np.abs(table.smatrix[:, :, idx]) ** 2, equal_nan=True)
 
 
 def opaque_chain(x1, cells):

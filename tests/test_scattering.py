@@ -276,6 +276,28 @@ def test_stack_gate_raises_at_first_failing_momentum():
         scattering_stack(transfers, ks)
 
 
+CONSERVATION_ROUTES = {
+    "scattering_stack": lambda tol: scattering_stack(
+        [np.diag([1, 1, 2, 1])] * 5, np.linspace(0.5, 2.5, 5), conservation_tol=tol
+    ),
+    "transfer_to_scattering": lambda tol: transfer_to_scattering(
+        np.eye(4), 1.0, conservation_tol=tol
+    ),
+    "spectrum": lambda tol: spectrum(
+        Device((r_flip_defect(0.5),)), [0.5, 1.0], conservation_tol=tol
+    ),
+    "spectrum_of_a_free_line": lambda tol: spectrum(Device(), [1.0], conservation_tol=tol),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CONSERVATION_ROUTES))
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_conservation_tol_must_be_positive(route, tol):
+    # a nan gate would flag nothing, and a negative one every transfer
+    with pytest.raises(ParameterDomainError, match=rf"^conservation_tol must be > 0, got {tol}$"):
+        CONSERVATION_ROUTES[route](tol)
+
+
 def test_transfer_acting_on_one_spin_rejected():
     # an x1 jump on spin up alone conserves the current but does not commute with the spin swap
     transfer = np.eye(4)
@@ -336,12 +358,6 @@ def test_stack_shape_validation():
         scattering_stack(np.zeros((2, 4, 4)), [1.0])
     with pytest.raises(ParameterDomainError):
         scattering_stack(np.array([np.eye(4)]), [0.0])
-
-
-def test_apply_conserves_flux():
-    s = transfer_to_scattering(defect_matrix(r_flip_defect(0.8)), 2.2)
-    amps = s.apply([1.0, 0.5j, 0.0, -0.25])
-    assert abs(amps.flux_mismatch()) < 1e-12
 
 
 def test_channel_index_lookup():
