@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _MAX_POINTS = np.iinfo(np.intp).max // 8  # longest float64 k grid numpy can size
+_K_MAX = float(np.sqrt(np.finfo(float).max))  # largest momentum whose energy k^2 is finite
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,30 @@ def channel_transfer(device: Device, k) -> np.ndarray:
     """Channel array (2, 2, *k.shape, 2) of a device's transfer, composed entry by entry.
 
     A free segment enters as its :func:`free_channels` entries, a defect as
-    the :func:`channel_blocks` of its matrix; no 4x4 matrix is built.  The
-    rightmost element's matrix ends up leftmost in the product.  Raises
-    :class:`InvalidTransferError` at the first momentum where it overflowed.
+    the :func:`channel_blocks` of its matrix; no 4x4 matrix is built.  All
+    free segments are built in one call, and all defects in another.  The
+    composition runs on arrays indexed [row, col, channel, *k.shape], so
+    each element costs three ufuncs over the momenta; the result equals the
+    element-by-element product bit for bit.  The rightmost element's matrix
+    ends up leftmost in the product.  Raises :class:`InvalidTransferError`
+    at the first momentum where it overflowed.
     """
     ks = check_momenta(k)
-    total = ((1, 0), (0, 1))  # the first element's matrix replaces it, with no product
+    ones = (1,) * ks.ndim  # the momentum axes of an element that does not depend on k
+    lengths = [el.length for el in device.elements if isinstance(el, FreeSegment)]
+    matrices = [defect_matrix(el) for el in device.elements if isinstance(el, DefectSpec)]
+    total = np.eye(2).reshape((2, 2, 1) + ones)  # the first element's entries replace it
     with np.errstate(over="ignore", invalid="ignore"):
+        # each kind's entries in one call, as (n, row, col, channel, *k.shape) in element order
+        free = free_channels(ks, np.reshape(lengths, (-1,) + ones))
+        free = iter(np.moveaxis(free, (2, -1), (0, 3)))
+        blocks = channel_blocks(np.reshape(matrices, (-1, 4, 4)))
+        defects = iter(np.moveaxis(blocks, 2, 0).reshape((-1, 2, 2, 2) + ones))
         for i, el in enumerate(device.elements):
-            free = isinstance(el, FreeSegment)
-            m = free_channels(ks, el.length) if free else channel_blocks(defect_matrix(el))
-            (a, b), (c, d) = m
-            (e, f), (g, h) = total
-            total = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)) if i else m
+            m = next(defects if isinstance(el, DefectSpec) else free)
+            total = m[:, 0, None] * total[0] + m[:, 1, None] * total[1] if i else m
     out = np.empty((2, 2) + ks.shape + (2,), dtype=complex)
-    (out[0, 0], out[0, 1]), (out[1, 0], out[1, 1]) = total
+    out[...] = np.moveaxis(total, 2, -1)
     check_finite(np.isfinite(out).all(axis=(0, 1, -1)), ks)
     return out
 
@@ -113,10 +123,17 @@ def total_transfer(device: Device, k) -> np.ndarray:
 
 
 def check_k_grid(k_grid) -> np.ndarray:
-    """Validate a momentum grid: non-empty, 1d, positive and sorted ascending."""
+    """Validate a momentum grid: non-empty, 1d and sorted ascending, each momentum one that
+    :func:`check_momenta` takes and whose energy k^2 is finite (k <= sqrt of the float max).
+    """
     ks = check_momenta(k_grid)
     if ks.ndim != 1 or len(ks) == 0:
         raise ParameterDomainError("k grid must be a non-empty 1d array")
+    if np.any(high := ks > _K_MAX):
+        bad = float(ks[high][0])
+        raise ParameterDomainError(
+            f"momentum must be <= {_K_MAX!r}, beyond which k^2 overflows, got {bad!r}"
+        )
     if np.any(np.diff(ks) < 0):
         raise ParameterDomainError("k grid must be sorted ascending")
     return ks

@@ -28,6 +28,7 @@ Every interaction commutes with the spin swap, so in the basis
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -64,6 +65,7 @@ CLOSED_FORM_CHANNELS = ("left_up", "right_up", "left_down", "right_down")
 CLOSED_FORM_PERMUTATION = (0, 2, 1, 3)
 
 _FORM_X = current_forms()[0].matrix
+_K_MIN = sys.float_info.min  # smallest momentum: dividing by a subnormal k overflows
 
 
 def channel_index(channel: int | str) -> int:
@@ -113,24 +115,38 @@ def momentum_from_energy(energy: float) -> float:
 
 
 def check_momenta(k) -> np.ndarray:
-    """One momentum or an array of momenta as floats; raises at the first one not finite and > 0."""
+    """One momentum or an array of momenta as floats; raises at the first one that is not
+    finite or is below the smallest normal float (dividing by a subnormal k overflows).
+    """
     ks = np.asarray(k, dtype=float)
-    if not np.all(good := np.isfinite(ks) & (ks > 0)):
+    if not np.all(good := np.isfinite(ks) & (ks >= _K_MIN)):
         bad = float(ks[~good][0])
-        rule = "> 0" if np.isfinite(bad) else "a finite number"
+        if not np.isfinite(bad):
+            rule = "a finite number"
+        else:
+            rule = "> 0" if bad <= 0 else f">= {_K_MIN!r}, the smallest normal float"
         raise ParameterDomainError(f"momentum must be {rule}, got {bad!r}")
     return ks
 
 
-def free_channels(ks: np.ndarray, length: float) -> np.ndarray:
-    """Channel array (2, 2, *ks.shape, 1) of a free segment at checked momenta ``ks``.
+def free_channels(ks: np.ndarray, length) -> np.ndarray:
+    """Channel array (2, 2, *kl.shape, 1) of a free segment at checked momenta ``ks``.
 
     The entries [[cos kL, sin kL / k], [-k sin kL, cos kL]] are the same in
-    both channels, so the channel axis has length 1 and broadcasts.
+    both channels, so the channel axis has length 1 and broadcasts.  ``kl``
+    is ``ks * length``, so an array of lengths, shaped to broadcast against
+    ``ks``, gives every segment's entries at once.
     """
     kl = ks * length
-    c, s = np.cos(kl), np.sin(kl)
-    return np.array([[c, s / ks], [-ks * s, c]])[..., None]
+    out = np.empty((2, 2) + kl.shape + (1,))
+    # filled in place, with no stacked intermediate
+    cos, sin_by_k, k_sin = out[0, 0, ..., 0], out[0, 1, ..., 0], out[1, 0, ..., 0]
+    np.cos(kl, out=cos)
+    np.sin(kl, out=k_sin)
+    np.divide(k_sin, ks, out=sin_by_k)
+    np.multiply(-ks, k_sin, out=k_sin)
+    out[1, 1] = out[0, 0]
+    return out
 
 
 def propagation(k, length: float) -> np.ndarray:

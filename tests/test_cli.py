@@ -507,6 +507,11 @@ def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+ENERGY_OVERFLOW = (
+    "error: momentum must be <= 1.3407807929942596e+154, beyond which k^2 overflows, got 1e+200\n"
+)
+
+
 @pytest.mark.parametrize(
     "command, doc, err",
     [
@@ -526,8 +531,24 @@ def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
             "error: key 'incident' must be one of ('left_up', 'left_down', 'right_up', "
             "'right_down'), got 'bogus'\n",
         ),
+        (
+            "scatter",
+            {"defect": {"kind": "r_x4", "r": 0.5}, "sweep": {"k_max": 1e200, "points": 2}},
+            ENERGY_OVERFLOW,
+        ),
+        (
+            "device",
+            {"device": {"elements": []}, "sweep": {"k_max": 1e200, "points": 2}},
+            ENERGY_OVERFLOW,
+        ),
     ],
-    ids=["bloch_negative", "transfer_zero", "incident_unknown"],
+    ids=[
+        "bloch_negative",
+        "transfer_zero",
+        "incident_unknown",
+        "scatter_energy_overflow",
+        "device_energy_overflow",
+    ],
 )
 def test_main_rejects_bad_tolerance_and_incident(command, doc, err, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
 """Devices: transfer composition, spectra, presets, and the matching oracle."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -164,13 +166,34 @@ def matmul_channel_transfer(device, k):
     return total
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and bytes, so signed zeros must match too."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_channel_transfer_equals_the_4x4_element_composition(seed):
+    rng = np.random.default_rng(seed)
     ks = np.geomspace(1e-8, 1e6, 400)
-    dev = random_device(np.random.default_rng(seed), 200)
-    assert np.array_equal(channel_transfer(dev, ks), matmul_channel_transfer(dev, ks))
-    for dev in (Device(), Device((FreeSegment(1.3),))):
-        assert np.array_equal(channel_transfer(dev, 2.0), matmul_channel_transfer(dev, 2.0))
+    dev = random_device(rng, 200)
+    assert same_bits(channel_transfer(dev, ks), matmul_channel_transfer(dev, ks))
+    devices = (
+        Device(),
+        Device((FreeSegment(1.3),)),
+        Device((x1_defect(0.4), r_flip_defect(-1.2), x4_defect(0.3), flux_defect(0.7))),
+        # equal specs that differ in the sign of a zero are each their own element
+        Device((x1_defect(0.0), x1_defect(-0.0))),
+        Device((x1_defect(-0.0), x1_defect(0.0), x1_defect(-0.0))),
+        random_device(rng, 30),
+    )
+    # free segments alone compose in real arithmetic, the reference in complex
+    # arithmetic, whose zero imaginary parts may come out negative
+    free = Device((FreeSegment(0.6), FreeSegment(1.9)))
+    for k in (2.0, ks[::40], np.geomspace(0.05, 40.0, 12).reshape(3, 4)):
+        for dev in devices:
+            assert same_bits(channel_transfer(dev, k), matmul_channel_transfer(dev, k))
+        got, want = channel_transfer(free, k), matmul_channel_transfer(free, k)
+        assert same_bits(got.real, want.real) and same_bits(got.imag, np.zeros(got.shape))
 
 
 ONE_DEFECT_SPECS = [
@@ -290,7 +313,9 @@ def test_unitarity_across_wide_momentum_range():
 
 
 def test_spectrum_free_line_full_transmission():
-    table = spectrum(Device((FreeSegment(2.0),)), np.linspace(0.1, 5.0, 20))
+    ks = np.concatenate([[sys.float_info.min, 1e-300], np.linspace(0.1, 5.0, 20)])
+    table = spectrum(Device((FreeSegment(2.0),)), ks)
+    assert not table.singular.any()
     assert np.allclose(table.probabilities[:, 2], 1.0, atol=1e-12)
     assert np.allclose(table.probabilities[:, [0, 1, 3]], 0.0, atol=1e-12)
 
@@ -438,6 +463,12 @@ def test_spectrum_grid_validation(sweep):
         sweep([1.0, 0.0, -1.0])
     with pytest.raises(ParameterDomainError, match="ascending"):
         sweep([2.0, 1.0])
+    top = math.sqrt(sys.float_info.max)  # the largest momentum whose energy k^2 is finite
+    sweep([1.0, top])
+    for k in (math.nextafter(top, math.inf), 1e200):
+        message = rf"^momentum must be <= {re.escape(repr(top))}, .* {re.escape(repr(k))}$"
+        with pytest.raises(ParameterDomainError, match=message):
+            sweep([1.0, k, 2 * k])
 
 
 def test_default_k_grid_checks_its_sweep():

@@ -1,6 +1,8 @@
 """Scattering matrices: propagation, spin channels, closed form, probabilities."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +86,7 @@ def test_propagation_domain_errors():
         lambda ks: total_transfer(resonator, ks),
         lambda ks: spectrum(resonator, ks),
         lambda ks: spectrum(Device((x1_defect(1.0),)), ks),
+        lambda ks: spectrum(Device((FreeSegment(1.0),)), ks),
         lambda ks: dispersion(PeriodicComb(Device((x4_defect(0.5),)), 1.0), ks),
         lambda ks: transfer_to_scattering(np.eye(4), ks[-1]),
     ]
@@ -92,6 +95,11 @@ def test_propagation_domain_errors():
         for route in routes:
             with pytest.raises(ParameterDomainError, match=message):
                 route(np.array([1.0, bad]))
+    # dividing by a subnormal momentum overflows, so the least one is the smallest normal float
+    message = rf"^momentum must be >= {re.escape(repr(sys.float_info.min))}, .* got 1e-310$"
+    for route in routes:
+        with pytest.raises(ParameterDomainError, match=message):
+            route(np.array([1.0, 1e-310]))
 
 
 def test_propagation_blocks_are_the_free_channel_entries_up_to_the_largest_momentum():
@@ -106,14 +114,16 @@ def test_propagation_blocks_are_the_free_channel_entries_up_to_the_largest_momen
 def test_propagation_overflow_raises_invalid_transfer_error():
     # k * 7.7 exceeds the float range at k = 1e308 only; a warning would fail the test
     ks = [1.0, 1e307, 1e308]
-    comb = PeriodicComb(Device((r_flip_defect(0.5),)), 7.7)
+    # a sweep takes no momentum whose k^2 overflows, so the comb's period is 1e300 times
+    # longer and k * a exceeds the float range at k = 1e8 only
+    comb = PeriodicComb(Device((r_flip_defect(0.5),)), 7.7e300)
     routes = [
-        lambda: propagation(ks, 7.7),
-        lambda: total_transfer(Device((FreeSegment(7.7),)), ks),
-        lambda: dispersion(comb, ks),
+        (lambda: propagation(ks, 7.7), r"1e\+308"),
+        (lambda: total_transfer(Device((FreeSegment(7.7),)), ks), r"1e\+308"),
+        (lambda: dispersion(comb, [1.0, 1e7, 1e8]), r"100000000\.0"),
     ]
-    for route in routes:
-        with pytest.raises(InvalidTransferError, match=r"overflowed at k=1e\+308;"):
+    for route, k in routes:
+        with pytest.raises(InvalidTransferError, match=rf"overflowed at k={k};"):
             route()
 
 
@@ -137,10 +147,11 @@ def test_propagation_composes_additively(k, l1, l2):
 
 
 def test_identity_transfer_is_perfect_transmission():
-    s = transfer_to_scattering(np.eye(4), 1.3)
     expected = np.zeros((4, 4))
     expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1.0
-    assert np.allclose(s.matrix, expected, atol=1e-14)
+    for k in (1.3, 1e-300, sys.float_info.min):
+        s = transfer_to_scattering(np.eye(4), k)
+        assert np.allclose(s.matrix, expected, atol=1e-14)
 
 
 def test_closed_form_r_zero_full_transmission():
