@@ -76,7 +76,6 @@ from .scattering import (
     closed_form_to_grouped,
     momentum_from_energy,
     propagation,
-    scattering_stack,
     transfer_to_scattering,
 )
 

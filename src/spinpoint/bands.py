@@ -67,7 +67,7 @@ class PeriodicComb:
     def __post_init__(self):
         object.__setattr__(self, "period", check_positive(self.period, "period"))
         internal = self.cell.total_length
-        if internal > self.period + 1e-12:
+        if internal > self.period * (1 + 1e-12):  # slack for the round-off of the sum
             raise ParameterDomainError(
                 f"internal free length {internal} exceeds period {self.period}"
             )

@@ -24,7 +24,7 @@ from .device import Device, FreeSegment, SweepSpec
 from .errors import ConfigError, SpinpointError
 from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_real, conserves_currents
 from .extensions import defect_matrix
-from .scattering import CHANNELS
+from .scattering import CHANNELS, channel_probabilities
 
 __all__ = [
     "SweepSpec",
@@ -306,16 +306,13 @@ def _run_scatter(config: RunConfig) -> str:
 
 def _run_device(config: RunConfig) -> str:
     table = _device.spectrum(
-        config.device,
-        config.sweep.grid(),
-        incident=config.incident,
-        conservation_tol=config.tolerances.transfer,
+        config.device, config.sweep.grid(), conservation_tol=config.tolerances.transfer
     )
     header = "k,E,p_left_up,p_left_down,p_right_up,p_right_down,unitarity_residual,singular"
     columns = [
         table.k,
         table.energy,
-        *table.probabilities.T,
+        *channel_probabilities(table.smatrix, config.incident).T,
         table.unitarity_residual,
         table.singular.astype(int),
     ]

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, ParameterDomainError
 from .extensions import DefectSpec, check_positive, check_real, defect_matrix
 from .extensions import r_flip_defect, x1_defect
-from .scattering import CHANNELS, ScatteringMatrix, channel_blocks, channel_index, channel_matrix
+from .scattering import _K_MIN, ScatteringMatrix, channel_blocks, channel_matrix
 from .scattering import channel_scattering, check_conservation, check_finite, check_momenta
 from .scattering import free_channels
 
@@ -68,15 +68,16 @@ class Device:
 
 @dataclass(eq=False)
 class SpectrumTable:
-    """A device's S-matrices over a momentum grid, and one incident channel's probabilities."""
+    """A device's S-matrices over a momentum grid, with each row's unitarity residual.
+
+    :func:`channel_probabilities` of ``smatrix`` gives an incident channel's probabilities.
+    """
 
     k: np.ndarray
     energy: np.ndarray
     smatrix: np.ndarray  # shape (n, 4, 4), grouped channel order; NaN on singular rows
-    probabilities: np.ndarray  # shape (n, 4), grouped channel order
     unitarity_residual: np.ndarray
     singular: np.ndarray  # bool
-    incident: str
 
     def __len__(self) -> int:
         return len(self.k)
@@ -139,14 +140,8 @@ def check_k_grid(k_grid) -> np.ndarray:
     return ks
 
 
-def spectrum(
-    device: Device,
-    k_grid,
-    incident: int | str = "left_up",
-    *,
-    conservation_tol: float = 1e-10,
-) -> SpectrumTable:
-    """Sweep a device's S-matrices and one incident channel's probabilities over a k grid.
+def spectrum(device: Device, k_grid, *, conservation_tol: float = 1e-10) -> SpectrumTable:
+    """Sweep a device's S-matrices over a k grid.
 
     Free propagation conserves the current exactly, so the gate (``conservation_tol``)
     checks each distinct defect once, at the first momentum; the S stack ``smatrix`` is then
@@ -154,20 +149,13 @@ def spectrum(
     not finite gives a NaN row flagged ``singular`` instead of failing the whole sweep.
     """
     ks = check_k_grid(k_grid)
-    idx = channel_index(incident)
     defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
     gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
     check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
     s, singular = channel_scattering(channel_transfer(device, ks), ks)
-    smat = ScatteringMatrix(matrix=s, k=ks)
+    residual = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
     return SpectrumTable(
-        k=ks,
-        energy=ks * ks,
-        smatrix=s,
-        probabilities=smat.probabilities(idx),
-        unitarity_residual=smat.unitarity_residual(),
-        singular=singular,
-        incident=CHANNELS[idx],
+        k=ks, energy=ks * ks, smatrix=s, unitarity_residual=residual, singular=singular
     )
 
 
@@ -211,8 +199,15 @@ class SweepSpec:
         object.__setattr__(self, "points", int(self.points))
         if self.spacing not in ("linear", "log"):
             raise ConfigError("key 'spacing' in sweep must be 'linear' or 'log'")
-        if not self.k_min > 0:
-            raise ConfigError("key 'k_min' in sweep must be > 0")
+        # the momentum bounds of check_momenta and check_k_grid, named by key
+        if not self.k_min >= _K_MIN:
+            raise ConfigError(
+                f"key 'k_min' in sweep must be >= {_K_MIN!r}, the smallest normal float"
+            )
+        if not self.k_max <= _K_MAX:
+            raise ConfigError(
+                f"key 'k_max' in sweep must be <= {_K_MAX!r}, beyond which k^2 overflows"
+            )
         if not self.k_min < self.k_max:
             raise ConfigError("key 'k_min' must be < 'k_max' in sweep")
         if self.points < 2:

@@ -49,7 +49,6 @@ __all__ = [
     "channel_matrix",
     "channel_scattering",
     "transfer_to_scattering",
-    "scattering_stack",
     "closed_form_flip_smatrix",
     "closed_form_to_grouped",
     "channel_probabilities",
@@ -91,7 +90,7 @@ class ScatteringMatrix:
     """Unitary 4x4 map from incoming to outgoing channel amplitudes.
 
     ``matrix`` may also be an (n, 4, 4) stack with ``k`` the n momenta;
-    residuals and probabilities then come per momentum.
+    residuals then come per momentum.
     """
 
     matrix: np.ndarray
@@ -101,12 +100,6 @@ class ScatteringMatrix:
         """Max-abs entry of S^dag S - 1; an array for a stack of matrices."""
         residual = current_residual(self.matrix)
         return float(residual) if residual.ndim == 0 else residual
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        return self.unitarity_residual() <= tol
-
-    def probabilities(self, incident: int | str) -> np.ndarray:
-        return channel_probabilities(self, incident)
 
 
 def momentum_from_energy(energy: float) -> float:
@@ -247,34 +240,25 @@ def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> Non
             )
 
 
-def scattering_stack(
-    transfers, k_grid, *, conservation_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convert a stack of 4x4 boundary transfers, one per momentum, into S-matrices.
-
-    The gate :func:`check_conservation` (``conservation_tol``) raises
-    :class:`InvalidTransferError` at the first failing momentum; then
-    :func:`channel_scattering` gives the (n, 4, 4) S stack in grouped channel
-    order and the ``singular`` mask of its non-finite (NaN) rows.
-    """
-    ks = check_momenta(k_grid)
-    t = np.asarray(transfers, dtype=complex)
-    if ks.ndim != 1 or t.shape != (len(ks), 4, 4):
-        raise ParameterDomainError(f"need one 4x4 transfer per momentum, got {t.shape}")
-    check_conservation(t, ks, conservation_tol)
-    return channel_scattering(channel_blocks(t), ks)
-
-
 def transfer_to_scattering(
     transfer: np.ndarray, k: float, *, conservation_tol: float = 1e-10
 ) -> ScatteringMatrix:
     """Convert one 4x4 boundary transfer at momentum ``k`` > 0 into an S-matrix.
 
-    The single-momentum case of :func:`scattering_stack`, except that an
-    S-matrix that is not finite raises :class:`SpectralSingularityError`.
+    The gate :func:`check_conservation` (``conservation_tol``) raises
+    :class:`InvalidTransferError` on a transfer that does not conserve the
+    current or commute with the spin swap; then :func:`channel_scattering`
+    gives the S-matrix in grouped channel order, and one that is not finite
+    raises :class:`SpectralSingularityError`.
     """
-    t = np.asarray(transfer)[None]
-    s, singular = scattering_stack(t, [k], conservation_tol=conservation_tol)
+    ks = check_momenta([k])
+    t = np.asarray(transfer, dtype=complex)
+    if ks.shape != (1,) or t.shape != (4, 4):
+        raise ParameterDomainError(
+            f"need one 4x4 transfer and one momentum, got shapes {t.shape} and {np.shape(k)}"
+        )
+    check_conservation(t[None], ks, conservation_tol)
+    s, singular = channel_scattering(channel_blocks(t[None]), ks)
     if singular[0]:
         raise SpectralSingularityError(k)
     return ScatteringMatrix(matrix=s[0], k=float(k))
@@ -291,15 +275,18 @@ def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
                            [-2ikr, 2ikr, k2r2, 4],
                            [2ikr, -2ikr, 4, k2r2]]
 
-    Unitary for every real r.  Use :func:`closed_form_to_grouped` to
-    reorder into the grouped channel convention.
+    Unitary for every real r.  Where (kr)^2 overflows, the k2r2 entries
+    take their limit 1 and the others 0 (total reflection).  Use
+    :func:`closed_form_to_grouped` to reorder into the grouped channel convention.
     """
     check_momenta(k)
-    kr = k * r
-    d = kr * kr + 4.0
-    t = kr * kr / d
-    u = 4.0 / d
-    f = 2j * kr / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        kr = k * r
+        d = kr * kr + 4.0
+        reflect = np.isinf(d)  # (kr)^2 overflowed
+        t = np.where(reflect, 1.0, kr * kr / d)
+        u = 4.0 / d
+        f = np.where(reflect, 0.0, 2j * kr / d)
     return np.array(
         [
             [t, u, -f, f],

@@ -31,7 +31,7 @@ def smatrix_by_matching(device, k: float) -> np.ndarray:
 
     Left amplitudes are referenced to the device entry plane (x = 0) and
     right amplitudes to the exit plane (x = total free length), matching
-    the convention of transfer_to_scattering.
+    the convention of spectrum and transfer_to_scattering.
     """
     xs, ms, x = [], [], 0.0
     for el in device.elements:

@@ -15,6 +15,7 @@ from spinpoint import (
     Device,
     FreeSegment,
     PeriodicComb,
+    channel_probabilities,
     closed_form_flip_smatrix,
     closed_form_to_grouped,
     compose,
@@ -59,7 +60,7 @@ def test_criterion_1_closed_form_reproduction():
     for r in (0.1, 0.5, 1.0, 2.0):
         s = transfer_to_scattering(defect_matrix(r_flip_defect(r)), 2.0 / r)
         for incident in range(4):
-            assert np.abs(s.probabilities(incident) - 0.25).max() < 1e-12
+            assert np.abs(channel_probabilities(s, incident) - 0.25).max() < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, f"max closed-form deviation {worst:.2e}, {elapsed:.2f}s")
@@ -163,7 +164,7 @@ def test_criterion_4_unitarity_sweep():
         table = spectrum(device, ks)
         assert not table.singular.any()
         worst_unitarity = max(worst_unitarity, float(table.unitarity_residual.max()))
-        sums = table.probabilities.sum(axis=1)
+        sums = channel_probabilities(table.smatrix, "left_up").sum(axis=1)
         worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
     assert worst_unitarity < 1e-10
     assert worst_sum < 1e-8
@@ -239,7 +240,7 @@ def test_criterion_7_spin_flip_maximum():
     kr_grid = np.arange(0.5, 4.0, 5e-4)
     flips = np.empty_like(kr_grid)
     for i, k in enumerate(kr_grid):
-        p = transfer_to_scattering(defect_matrix(r_flip_defect(r)), k).probabilities(0)
+        p = channel_probabilities(transfer_to_scattering(defect_matrix(r_flip_defect(r)), k), 0)
         flips[i] = p[1] + p[3]
     best = int(np.argmax(flips))
     assert abs(flips[best] - 0.5) < 1e-6
@@ -253,10 +254,10 @@ def test_criterion_8_effectiveness_ordering():
     ks = np.linspace(2.0, 10.0, 100)
     margin = np.inf
     for k in ks:
-        p_r = transfer_to_scattering(defect_matrix(r_flip_defect(coupling)), k).probabilities(0)
-        p_rt = transfer_to_scattering(
-            defect_matrix(rtilde_flip_defect(coupling)), k
-        ).probabilities(0)
+        p_r, p_rt = (
+            channel_probabilities(transfer_to_scattering(defect_matrix(spec(coupling)), k), 0)
+            for spec in (r_flip_defect, rtilde_flip_defect)
+        )
         flip_r = p_r[1] + p_r[3]
         flip_rt = p_rt[1] + p_rt[3]
         assert flip_r > flip_rt

@@ -660,6 +660,17 @@ def test_scalar_route_takes_checked_comb_records():
     assert comb.period == 2.0 and comb.fill_length == 1.0
 
 
+def test_comb_length_slack_is_relative_to_the_period():
+    # 1e7 periods of internal length; an absolute slack of 1e-12 would take them
+    with pytest.raises(ParameterDomainError, match="exceeds period 1e-20"):
+        PeriodicComb(Device((FreeSegment(1e-13),)), 1e-20)
+    # ten segments of 0.1 sum to 0.9999999999999999, three to 0.30000000000000004
+    tenths = Device((FreeSegment(0.1),) * 10)
+    assert tenths.total_length == 0.9999999999999999
+    assert PeriodicComb(tenths, 1.0).fill_length < 1e-15
+    assert PeriodicComb(Device((FreeSegment(0.1),) * 3), 0.3).fill_length == 0.0
+
+
 @pytest.mark.parametrize(
     "route",
     [lambda comb: scalar_dispersion(comb, [1.0]), lambda comb: scalar_cell_transfer(comb, 1.0)],

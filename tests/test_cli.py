@@ -145,11 +145,27 @@ def test_run_rejects_config_without_its_section():
         (lambda: SweepSpec(points=2.5), r"^key 'points' in sweep must be an integer$"),
         (lambda: SweepSpec(k_max=math.inf), "^key 'k_max' in sweep must be a finite number$"),
         (
+            lambda: SweepSpec(1e-310, 1.0, 5),
+            r"^key 'k_min' in sweep must be >= 2\.2250738585072014e-308, the smallest normal",
+        ),
+        (
+            lambda: SweepSpec(k_max=1e200),
+            r"^key 'k_max' in sweep must be <= 1\.3407807929942596e\+154, beyond which k\^2",
+        ),
+        (
             lambda: RunConfig("device", device=Device(()), incident="bogus"),
             "^key 'incident' must be one of .*, got 'bogus'$",
         ),
     ],
-    ids=["tolerance_negative", "tolerance_infinite", "points_float", "k_max_infinite", "incident"],
+    ids=[
+        "tolerance_negative",
+        "tolerance_infinite",
+        "points_float",
+        "k_max_infinite",
+        "k_min_subnormal",
+        "k_max_energy_overflow",
+        "incident",
+    ],
 )
 def test_hand_built_records_check_themselves(build, message):
     with pytest.raises(ConfigError, match=message):
@@ -508,7 +524,7 @@ def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
 
 
 ENERGY_OVERFLOW = (
-    "error: momentum must be <= 1.3407807929942596e+154, beyond which k^2 overflows, got 1e+200\n"
+    "error: key 'k_max' in sweep must be <= 1.3407807929942596e+154, beyond which k^2 overflows\n"
 )
 
 

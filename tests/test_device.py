@@ -20,6 +20,8 @@ from spinpoint import (
     ParameterDomainError,
     PeriodicComb,
     ScatteringMatrix,
+    SpectralSingularityError,
+    channel_probabilities,
     default_k_grid,
     defect_matrix,
     dispersion,
@@ -31,7 +33,6 @@ from spinpoint import (
     propagation,
     r_flip_defect,
     rtilde_flip_defect,
-    scattering_stack,
     spectrum,
     total_transfer,
     transfer_to_scattering,
@@ -215,19 +216,31 @@ def outcome(route):
         return str(exc)
 
 
+def stacked_transfer_to_scattering(matrix, ks, **gate):
+    """Per-k :func:`transfer_to_scattering` of one transfer over ``ks``, NaN on singular rows,
+    and the mask of those rows."""
+    rows = []
+    for k in ks:
+        try:
+            rows.append(transfer_to_scattering(matrix, k, **gate).matrix)
+        except SpectralSingularityError:
+            rows.append(np.full((4, 4), np.nan + 0j))
+    s = np.array(rows)
+    return s, np.isnan(s).all(axis=(1, 2))
+
+
 @pytest.mark.parametrize("spec", ONE_DEFECT_SPECS, ids=lambda spec: spec.kind.name)
 def test_spectrum_of_one_defect_equals_its_scattering_stack(spec):
     # the scatter command's route: the defect gated once, then its channels
     ks = np.geomspace(1e-8, 1e6, 500)
-    stack = np.broadcast_to(defect_matrix(spec), (len(ks), 4, 4))
     table = spectrum(Device((spec,)), ks)
-    s_stack, singular_stack = scattering_stack(stack, ks)
+    s_stack, singular_stack = stacked_transfer_to_scattering(defect_matrix(spec), ks)
     assert np.array_equal(table.smatrix, s_stack, equal_nan=True)
     assert np.array_equal(table.singular, singular_stack)
     # a defect whose residual is exactly 0 passes any gate, the others fail it alike
     tight = {"conservation_tol": 1e-300}
     gated = outcome(lambda: spectrum(Device((spec,)), ks, **tight))
-    gated_stack = outcome(lambda: scattering_stack(stack, ks, **tight))
+    gated_stack = outcome(lambda: stacked_transfer_to_scattering(defect_matrix(spec), ks, **tight))
     if isinstance(gated, str) or isinstance(gated_stack, str):
         assert gated == gated_stack
         assert gated.startswith("transfer does not conserve the longitudinal current at k=1e-08")
@@ -262,8 +275,8 @@ def test_transfer_route_matches_matching_oracle():
 def test_resonator_flip_reflection_grows_with_energy_and_oscillates():
     dev = preset_resonator(r_flip_defect(0.1), 1.0)
     ks = np.linspace(0.3, 10.0, 400)
-    table = spectrum(dev, ks, incident="left_up")
-    flip_reflected = table.probabilities[:, 1]
+    table = spectrum(dev, ks)
+    flip_reflected = channel_probabilities(table.smatrix, "left_up")[:, 1]
     low = flip_reflected[ks <= 0.7].max()
     high = flip_reflected[(ks >= 4.0) & (ks <= 6.0)].max()
     assert high > low
@@ -316,20 +329,21 @@ def test_spectrum_free_line_full_transmission():
     ks = np.concatenate([[sys.float_info.min, 1e-300], np.linspace(0.1, 5.0, 20)])
     table = spectrum(Device((FreeSegment(2.0),)), ks)
     assert not table.singular.any()
-    assert np.allclose(table.probabilities[:, 2], 1.0, atol=1e-12)
-    assert np.allclose(table.probabilities[:, [0, 1, 3]], 0.0, atol=1e-12)
+    probs = channel_probabilities(table.smatrix, "left_up")
+    assert np.allclose(probs[:, 2], 1.0, atol=1e-12)
+    assert np.allclose(probs[:, [0, 1, 3]], 0.0, atol=1e-12)
 
 
 def test_spectrum_single_flip_defect_quarter_point():
     r = 0.5
-    table = spectrum(Device((r_flip_defect(r),)), [2.0 / r], incident="left_up")
-    assert np.allclose(table.probabilities[0], 0.25, atol=1e-12)
+    table = spectrum(Device((r_flip_defect(r),)), [2.0 / r])
+    assert np.allclose(channel_probabilities(table.smatrix, "left_up"), 0.25, atol=1e-12)
 
 
 def test_spectrum_rows_sum_to_one():
     dev = preset_filter(r=0.4, x1=0.8, spacing=0.9)
     table = spectrum(dev, np.geomspace(0.05, 15.0, 200))
-    sums = table.probabilities.sum(axis=1)
+    sums = channel_probabilities(table.smatrix, "left_up").sum(axis=1)
     assert np.allclose(sums[~table.singular], 1.0, atol=1e-8)
     assert table.unitarity_residual[~table.singular].max() < 1e-10
 
@@ -346,8 +360,9 @@ def test_spectrum_flags_singular_rows(monkeypatch):
     monkeypatch.setattr(device_mod, "channel_transfer", flaky)
     table = spectrum(Device((r_flip_defect(0.2),)), np.linspace(0.5, 3.0, 11))
     assert table.singular.any() and not table.singular.all()
-    assert np.isnan(table.probabilities[table.singular]).all()
-    assert not np.isnan(table.probabilities[~table.singular]).any()
+    probs = channel_probabilities(table.smatrix, "left_up")
+    assert np.isnan(probs[table.singular]).all()
+    assert not np.isnan(probs[~table.singular]).any()
 
 
 def test_spectrum_smatrix_is_nan_exactly_on_singular_rows():
@@ -358,7 +373,7 @@ def test_spectrum_smatrix_is_nan_exactly_on_singular_rows():
     assert table.smatrix.shape == (2, 4, 4)
     assert np.isnan(table.smatrix[0]).all() and np.isfinite(table.smatrix[1]).all()
     for idx, channel in enumerate(CHANNELS):
-        probs = spectrum(device, ks, incident=channel).probabilities
+        probs = channel_probabilities(table.smatrix, channel)
         assert np.array_equal(probs, np.abs(table.smatrix[:, :, idx]) ** 2, equal_nan=True)
 
 
@@ -376,9 +391,9 @@ def assert_channel_route_matches_oracle(device, ks, step):
     assert ScatteringMatrix(s, ks).unitarity_residual().max() <= 1e-10
     for i in range(0, len(ks), step):
         assert np.abs(s[i] - smatrix_by_matching(device, ks[i])).max() <= 1e-10
-    table = spectrum(device, ks, incident="left_down")
+    table = spectrum(device, ks)
     assert not table.singular.any()
-    assert np.array_equal(table.probabilities, np.abs(s[:, :, 1]) ** 2)
+    assert np.array_equal(table.smatrix, s)
 
 
 @pytest.mark.parametrize(
@@ -490,7 +505,8 @@ def test_preset_resonator_zero_coupling_is_free_line():
     ks = np.linspace(0.2, 8.0, 60)
     free = spectrum(Device(), ks)
     res = spectrum(preset_resonator(r_flip_defect(0.0), 1.0), ks)
-    assert np.abs(free.probabilities - res.probabilities).max() < 1e-12
+    p_free, p_res = (channel_probabilities(t.smatrix, "left_up") for t in (free, res))
+    assert np.abs(p_free - p_res).max() < 1e-12
 
 
 def test_derivative_coupling_resonator_flips_more_at_high_k():
@@ -500,8 +516,8 @@ def test_derivative_coupling_resonator_flips_more_at_high_k():
     upper = ks >= 5.5
     table_r = spectrum(preset_resonator(r_flip_defect(0.5), 1.0), ks)
     table_rt = spectrum(preset_resonator(rtilde_flip_defect(0.5), 1.0), ks)
-    flip_r = table_r.probabilities[:, 1] + table_r.probabilities[:, 3]
-    flip_rt = table_rt.probabilities[:, 1] + table_rt.probabilities[:, 3]
+    p_r, p_rt = (channel_probabilities(t.smatrix, "left_up") for t in (table_r, table_rt))
+    flip_r, flip_rt = p_r[:, 1] + p_r[:, 3], p_rt[:, 1] + p_rt[:, 3]
     assert flip_r[upper].mean() > flip_rt[upper].mean()
 
 

@@ -31,14 +31,14 @@ from spinpoint import (
     propagation,
     r_flip_defect,
     rtilde_flip_defect,
-    scattering_stack,
     spectrum,
     total_transfer,
     transfer_to_scattering,
     x1_defect,
     x4_defect,
 )
-from spinpoint.scattering import channel_blocks, channel_matrix, free_channels
+from spinpoint.scattering import channel_blocks, channel_matrix, channel_scattering
+from spinpoint.scattering import check_conservation, free_channels
 
 # A zero transfer has delta = 0 in both channels, so its S-matrix is not
 # finite.  No current-conserving transfer does that, so tests using it
@@ -177,6 +177,14 @@ def test_closed_form_row_norm_identity(k, r):
     assert np.abs(s.conj().T @ s - np.eye(4)).max() < 1e-12
 
 
+@pytest.mark.parametrize("k,r", [(1e200, 1.0), (1e200, -1.0), (1e150, 1e10), (1e154, 1.0)])
+def test_closed_form_stays_unitary_where_kr_squared_overflows(k, r):
+    # (kr)^2 overflows in all but the last case: the limit is total reflection
+    s = closed_form_flip_smatrix(k, r)
+    assert np.abs(s.conj().T @ s - np.eye(4)).max() <= 1e-15
+    assert np.array_equal(np.abs(s) > 0.5, np.eye(4, dtype=bool))
+
+
 @pytest.mark.parametrize("k,r", [(0.4, 0.9), (2.0, 2.0), (6.3, -1.1)])
 def test_transfer_route_matches_closed_form_exactly(k, r):
     s = transfer_to_scattering(defect_matrix(r_flip_defect(r)), k)
@@ -190,12 +198,12 @@ def test_frozen_permutation_value():
 
 def test_probabilities_r_zero_incident_left_up():
     s = transfer_to_scattering(defect_matrix(r_flip_defect(0.0)), 1.0)
-    assert np.allclose(s.probabilities("left_up"), [0, 0, 1, 0], atol=1e-14)
+    assert np.allclose(channel_probabilities(s, "left_up"), [0, 0, 1, 0], atol=1e-14)
 
 
 def test_probabilities_kr_two_quarters():
     s = transfer_to_scattering(defect_matrix(r_flip_defect(0.5)), 4.0)
-    assert np.allclose(s.probabilities("left_up"), 0.25, atol=1e-12)
+    assert np.allclose(channel_probabilities(s, "left_up"), 0.25, atol=1e-12)
 
 
 @given(k=k_values, r=st.floats(min_value=-3, max_value=3))
@@ -203,7 +211,7 @@ def test_probabilities_kr_two_quarters():
 def test_flip_probability_closed_form_r_defect(k, r):
     # total spin flip for a single derivative-coupling defect: 8k^2r^2/(k^2r^2+4)^2
     s = transfer_to_scattering(defect_matrix(r_flip_defect(r)), k)
-    p = s.probabilities("left_up")
+    p = channel_probabilities(s, "left_up")
     expected = 8 * (k * r) ** 2 / ((k * r) ** 2 + 4) ** 2
     assert p[1] + p[3] == pytest.approx(expected, abs=1e-12)
 
@@ -213,7 +221,7 @@ def test_flip_probability_closed_form_r_defect(k, r):
 def test_flip_probability_value_coupling_defect(k, rt):
     # hand-derived from the matching equations: 8k^2 rt^2/(4k^2 + rt^2)^2
     s = transfer_to_scattering(defect_matrix(rtilde_flip_defect(rt)), k)
-    p = s.probabilities("left_up")
+    p = channel_probabilities(s, "left_up")
     expected = 8 * (k * rt) ** 2 / (4 * k * k + rt * rt) ** 2
     assert p[1] + p[3] == pytest.approx(expected, abs=1e-12)
 
@@ -259,7 +267,7 @@ def test_stack_flags_only_the_singular_row():
     transfers = np.array(
         [SINGULAR_TRANSFER if spec is None else defect_matrix(spec) for spec in specs]
     )
-    s, singular = scattering_stack(transfers, ks, conservation_tol=np.inf)
+    s, singular = channel_scattering(channel_blocks(transfers), ks)
     assert singular.tolist() == [False, False, True, False, False]
     assert np.isnan(s[2]).all()
     for i in (0, 1, 3, 4):
@@ -270,27 +278,24 @@ def test_stack_flags_only_the_singular_row():
 def test_stack_probabilities_and_residuals_match_single_matrices():
     ks = np.geomspace(0.1, 10.0, 7)
     transfers = np.array([defect_matrix(r_flip_defect(0.6)) @ propagation(k, 0.8) for k in ks])
-    s, _ = scattering_stack(transfers, ks)
+    s, _ = channel_scattering(channel_blocks(transfers), ks)
     stack = ScatteringMatrix(matrix=s, k=ks)
     residuals = stack.unitarity_residual()
     probs = channel_probabilities(stack, "left_down")
     for i, k in enumerate(ks):
         alone = transfer_to_scattering(transfers[i], k)
         assert residuals[i] == alone.unitarity_residual()
-        assert np.array_equal(probs[i], alone.probabilities("left_down"))
+        assert np.array_equal(probs[i], channel_probabilities(alone, "left_down"))
 
 
 def test_stack_gate_raises_at_first_failing_momentum():
     ks = np.array([0.5, 1.0, 2.0])
     transfers = np.array([np.eye(4), 2.0 * np.eye(4), 3.0 * np.eye(4)])
     with pytest.raises(InvalidTransferError, match=r"does not conserve.*at k=1\.0 "):
-        scattering_stack(transfers, ks)
+        check_conservation(transfers, ks, 1e-10)
 
 
 CONSERVATION_ROUTES = {
-    "scattering_stack": lambda tol: scattering_stack(
-        [np.diag([1, 1, 2, 1])] * 5, np.linspace(0.5, 2.5, 5), conservation_tol=tol
-    ),
     "transfer_to_scattering": lambda tol: transfer_to_scattering(
         np.eye(4), 1.0, conservation_tol=tol
     ),
@@ -365,10 +370,12 @@ def test_overflowed_transfer_rejected():
 
 
 def test_stack_shape_validation():
-    with pytest.raises(ParameterDomainError):
-        scattering_stack(np.zeros((2, 4, 4)), [1.0])
-    with pytest.raises(ParameterDomainError):
-        scattering_stack(np.array([np.eye(4)]), [0.0])
+    # one transfer at one momentum: a stack, a 2x2 matrix or an array of momenta is rejected
+    for transfer, k in [(np.zeros((2, 4, 4)), 1.0), (np.eye(2), 1.0), (np.eye(4), [1.0, 2.0])]:
+        with pytest.raises(ParameterDomainError, match="^need one 4x4 transfer and one momentum"):
+            transfer_to_scattering(transfer, k)
+    with pytest.raises(ParameterDomainError, match=r"^momentum must be > 0, got 0\.0$"):
+        transfer_to_scattering(np.eye(4), 0.0)
 
 
 def test_channel_index_lookup():
