@@ -20,9 +20,10 @@ scalar value-jump combs (:func:`spin_decouple`), each a :class:`PeriodicComb`
 of ``x4`` defects with the same free segments and period.  The scalar route
 composes one 2x2 channel of such a comb with its own product loop, which
 gives an independent check of the same spectrum: the Kronig-Penney trace
-condition cos(qa) = tr T / 2 of each scalar comb (:func:`scalar_dispersion`,
-and :func:`scalar_kp_relation` for one defect per period, whose band edges
-:func:`band_edges` brackets in one batched scan).
+condition cos(qa) = tr T / 2 of each scalar comb (:func:`scalar_dispersion`, with
+:func:`scalar_kp_relation` its closed form for one defect per period), whose
+band edges :func:`band_edges` brackets in one batched scan and bisects all
+at once.
 """
 
 from __future__ import annotations
@@ -377,9 +378,9 @@ def scalar_dispersion(comb: PeriodicComb, k_grid) -> tuple[np.ndarray, np.ndarra
 
     The cell transfer has unit determinant, so Bloch solutions exist iff
     |tr T / 2| <= 1, with cos(q a) = tr T / 2.  The transfer is composed
-    entry by entry over the whole grid.
+    entry by entry over the whole grid, checked as in :func:`dispersion`.
     """
-    ks = check_momenta(k_grid)
+    ks = check_k_grid(k_grid)
     a, _, _, d = _scalar_transfer(comb, ks)
     half_trace = _half_sum(a, d)
     band = np.abs(half_trace) <= 1.0
@@ -403,55 +404,43 @@ def scalar_kp_relation(x4: float, a: float, k):
     return float(value) if value.ndim == 0 else value
 
 
-def _bisect(g, lo: float, hi: float, g_lo: float, xtol: float = 1e-13) -> float:
-    """Root of ``g`` in [lo, hi], given g(lo) = ``g_lo`` and a sign change on the bracket.
+def band_edges(comb: PeriodicComb, k_max: float, *, scan_step: float = 0.01) -> np.ndarray:
+    """Band-edge momenta of a scalar comb (:func:`spin_decouple`) below ``k_max``.
 
-    Halves the bracket until it is no wider than ``xtol`` (or spans two
-    adjacent floats) and returns its midpoint.
+    Scans |tr T / 2| - 1 of the cell transfer in steps ka = ``scan_step``
+    and bisects every sign change at once, one batched transfer per halving,
+    to a bracket of 1e-13 or two adjacent floats; an exact zero at a scan
+    point or a midpoint is an edge.  A gap is found only if a scan point
+    falls inside it: the comb of ``x4_defect(1e-3)`` and period 1 has none
+    below k = 7, while ``scan_step=1e-5`` finds its gaps at ka = pi and 2 pi.
+    ``k_max`` and ``scan_step`` must be finite and > 0; the scan may hold
+    no more points than a k grid.
     """
-    while hi - lo > xtol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def band_edges(x4: float, a: float, k_max: float, *, scan_step: float = 0.01) -> np.ndarray:
-    """Band-edge momenta of the one-defect scalar comb below ``k_max``.
-
-    Scans |cos(qa) candidate| - 1 with bracket step ka = ``scan_step`` and
-    refines each sign change by root bisection to a bracket of 1e-13.  A gap is found only
-    if a scan point, spaced ``scan_step / a`` in k, falls inside it: ``band_edges(1e-3, 1.0,
-    7.0)`` finds none, while ``scan_step=1e-5`` finds the gaps at ka = pi and 2 pi.
-    ``x4``, ``a``, ``k_max`` and ``scan_step`` must be finite, and all but
-    ``x4`` must be > 0; the scan may hold no more points than a k grid.
-    """
-    x4 = check_real(x4, "x4")
-    a, k_max, scan_step = (
-        check_positive(value, name)
-        for value, name in ((a, "a"), (k_max, "k_max"), (scan_step, "scan_step"))
-    )
-    if not k_max * a / scan_step <= _MAX_POINTS:
+    k_max, scan_step = check_positive(k_max, "k_max"), check_positive(scan_step, "scan_step")
+    if not k_max * comb.period / scan_step <= _MAX_POINTS:
         raise ParameterDomainError(f"k_max * a / scan_step must be <= {_MAX_POINTS}")
 
-    def g(k: float) -> float:
-        return abs(scalar_kp_relation(x4, a, k)) - 1.0
+    def g(ks: np.ndarray) -> np.ndarray:
+        t, _, _, d = _scalar_transfer(comb, ks)
+        return np.abs(_half_sum(t, d)) - 1.0
 
-    step = scan_step / a
+    step = scan_step / comb.period
     ks = np.arange(step, k_max + step, step)
-    gs = np.abs(scalar_kp_relation(x4, a, ks)) - 1.0
-    # an exact zero at the left end of a step is an edge; a sign change is bisected
+    gs = g(ks)
+    # a sign change over a step is a bracket; an exact zero at its left end, one of width 0
     zero, change = gs[:-1] == 0.0, gs[:-1] * gs[1:] < 0
-    return np.array(
-        [
-            ks[i] if zero[i] else _bisect(g, float(ks[i]), float(ks[i + 1]), float(gs[i]))
-            for i in np.flatnonzero(zero | change)
-        ]
-    )
+    i = np.flatnonzero(zero | change)
+    lo, hi, below = ks[i], np.where(zero[i], ks[i], ks[i + 1]), gs[i] < 0.0
+    mid = 0.5 * (lo + hi)
+    while (at := np.flatnonzero((hi - lo > 1e-13) & (lo < mid) & (mid < hi))).size:
+        g_mid = g(mid[at])
+        low = (g_mid < 0.0) == below[at]  # the midpoint replaces the end whose sign it shares
+        lo[at[low]], hi[at[~low]] = mid[at[low]], mid[at[~low]]
+        # an exact zero at a midpoint is the edge: its bracket shrinks to width 0
+        root = at[g_mid == 0.0]
+        lo[root] = hi[root] = mid[root]
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 @dataclass(frozen=True)

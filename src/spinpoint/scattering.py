@@ -275,11 +275,12 @@ def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
                            [-2ikr, 2ikr, k2r2, 4],
                            [2ikr, -2ikr, 4, k2r2]]
 
-    Unitary for every real r.  Where (kr)^2 overflows, the k2r2 entries
-    take their limit 1 and the others 0 (total reflection).  Use
-    :func:`closed_form_to_grouped` to reorder into the grouped channel convention.
+    Unitary for every real r (``r`` must be finite).  Where (kr)^2 overflows,
+    the k2r2 entries take their limit 1 and the others 0 (total reflection).
+    Use :func:`closed_form_to_grouped` to reorder into the grouped channel convention.
     """
     check_momenta(k)
+    r = check_real(r, "r")
     with np.errstate(over="ignore", invalid="ignore"):
         kr = k * r
         d = kr * kr + 4.0

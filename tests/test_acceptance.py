@@ -25,7 +25,6 @@ from spinpoint import (
     effective_mass,
     flux_defect,
     mass_jump_defect,
-    preset_resonator,
     product_defect,
     r_flip_defect,
     rtilde_flip_defect,
@@ -34,7 +33,6 @@ from spinpoint import (
     spectrum,
     spin_decouple,
     scalar_dispersion,
-    total_transfer,
     transfer_to_scattering,
     x1_defect,
     x4_defect,

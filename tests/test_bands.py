@@ -36,7 +36,8 @@ from spinpoint import (
     x1_defect,
     x4_defect,
 )
-from spinpoint.bands import _bisect, _link_points
+from spinpoint.bands import _link_points
+from spinpoint.scattering import _half_sum
 
 # involutive basis change to the (up +- down)/sqrt(2) spin channels
 MIX = np.array(
@@ -51,6 +52,10 @@ MIX = np.array(
 
 def flip_comb(r, period=1.0):
     return PeriodicComb(Device((r_flip_defect(r),)), period)
+
+
+def x4_comb(x4, period=1.0):
+    return PeriodicComb(Device((x4_defect(x4),)), period)
 
 
 def test_comb_validation():
@@ -537,8 +542,8 @@ def test_dispersion_bloch_tol_must_be_positive(bloch_tol):
 def test_band_edges_scalar_vs_eigencount():
     a, k_max = 1.0, 7.0
     for x4 in (-0.5, 0.5):
-        scalar_edges = band_edges(x4, a, k_max)
-        comb = PeriodicComb(Device((x4_defect(x4),)), a)
+        comb = x4_comb(x4, a)
+        scalar_edges = band_edges(comb, k_max)
 
         def propagating(k):
             lam = np.linalg.eigvals(scalar_cell_transfer(comb, k))
@@ -584,8 +589,8 @@ PINNED_EDGES = {
 
 @pytest.mark.parametrize("args", sorted(PINNED_EDGES))
 def test_band_edges_pinned_and_on_the_band_boundary(args):
-    x4, a, _ = args
-    edges = band_edges(*args)
+    x4, a, k_max = args
+    edges = band_edges(x4_comb(x4, a), k_max)
     assert len(edges) == len(PINNED_EDGES[args])
     assert np.abs(edges - PINNED_EDGES[args]).max() <= 1e-13
     for k in edges:
@@ -594,32 +599,34 @@ def test_band_edges_pinned_and_on_the_band_boundary(args):
 
 def test_band_edges_finds_only_gaps_wider_than_the_scan_step():
     # the gaps at ka = pi and 2 pi are ~0.003 and ~0.006 wide, below the default step of 0.01
-    assert len(band_edges(1e-3, 1.0, 7.0)) == 0
-    assert band_edges(1e-3, 1.0, 40.0)[0] == pytest.approx(3 * np.pi)
-    edges = band_edges(1e-3, 1.0, 7.0, scan_step=1e-5)
+    comb = x4_comb(1e-3)
+    assert len(band_edges(comb, 7.0)) == 0
+    assert band_edges(comb, 40.0)[0] == pytest.approx(3 * np.pi)
+    edges = band_edges(comb, 7.0, scan_step=1e-5)
     expected = [3.14159, 3.14474, 6.28319, 6.28947]
     assert np.abs(edges - expected).max() <= 5e-6
     for k in edges:
         assert abs(abs(scalar_kp_relation(1e-3, 1.0, float(k))) - 1.0) <= 1e-12
 
 
+# the a and x4 rules are the comb records' (test_scalar_route_takes_checked_comb_records);
+# each remaining case keeps the id it had when band_edges took (x4, a, k_max)
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
-        ((0.5, 0.0, 7.0), {}, r"a must be > 0, got 0\.0"),
-        ((0.5, -1.0, 7.0), {}, r"a must be > 0, got -1\.0"),
-        ((0.5, 1.0, 0.0), {}, r"k_max must be > 0, got 0\.0"),
-        ((0.5, 1.0, 7.0), {"scan_step": 0.0}, r"scan_step must be > 0, got 0\.0"),
-        ((0.5, 1.0, math.inf), {}, r"k_max must be a finite number"),
-        ((math.nan, 1.0, 7.0), {}, r"x4 must be a finite number"),
-        ((0.5, math.nan, 7.0), {}, r"a must be a finite number"),
-        ((0.5, 1.0, 7.0), {"scan_step": math.inf}, r"scan_step must be a finite number"),
-        ((0.5, 1.0, 1e300), {}, r"k_max \* a / scan_step must be <= "),
+        pytest.param(args, kwargs, message, id=f"args{i}-kwargs{i}-{message}")
+        for i, args, kwargs, message in [
+            (2, (0.0,), {}, r"k_max must be > 0, got 0\.0"),
+            (3, (7.0,), {"scan_step": 0.0}, r"scan_step must be > 0, got 0\.0"),
+            (4, (math.inf,), {}, r"k_max must be a finite number"),
+            (7, (7.0,), {"scan_step": math.inf}, r"scan_step must be a finite number"),
+            (8, (1e300,), {}, r"k_max \* a / scan_step must be <= "),
+        ]
     ],
 )
 def test_band_edges_domain_errors(args, kwargs, message):
     with pytest.raises(ParameterDomainError, match=message):
-        band_edges(*args, **kwargs)
+        band_edges(x4_comb(0.5), *args, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -673,7 +680,11 @@ def test_comb_length_slack_is_relative_to_the_period():
 
 @pytest.mark.parametrize(
     "route",
-    [lambda comb: scalar_dispersion(comb, [1.0]), lambda comb: scalar_cell_transfer(comb, 1.0)],
+    [
+        lambda comb: scalar_dispersion(comb, [1.0]),
+        lambda comb: scalar_cell_transfer(comb, 1.0),
+        lambda comb: band_edges(comb, 1.0),
+    ],
 )
 @pytest.mark.parametrize("defect", [x1_defect(1.0), r_flip_defect(0.5)])
 def test_scalar_route_rejects_other_defect_kinds(route, defect):
@@ -707,28 +718,49 @@ def test_scalar_cell_transfer_of_an_array_stacks_scalar_calls():
 
 def test_scalar_route_overflow_raises_invalid_transfer_error():
     # k * 7.7 exceeds the float range at k = 1e308 only; a warning would fail the test
-    ks = [1.0, 1e307, 1e308]
     for scalar in spin_decouple(flip_comb(0.5, 7.7)):
         with pytest.raises(InvalidTransferError, match=r"overflowed at k=1e\+308;"):
-            scalar_dispersion(scalar, ks)
-        with pytest.raises(InvalidTransferError, match=r"overflowed at k=1e\+308;"):
             scalar_cell_transfer(scalar, 1e308)
+    # a k grid takes no momentum whose k^2 overflows, so this comb's period is 1e300 times
+    # longer and k * a exceeds the float range at k = 1e8 only
+    for scalar in spin_decouple(flip_comb(0.5, 7.7e300)):
+        with pytest.raises(InvalidTransferError, match=r"overflowed at k=100000000\.0;"):
+            scalar_dispersion(scalar, [1.0, 1e7, 1e8])
 
 
-def scan_band_edges(x4, a, k_max, scan_step=0.01):
-    """The per-point scan that band_edges replaced: one scalar relation call per scan point."""
+def bisect(g, lo, hi, g_lo, xtol=1e-13):
+    """Root of ``g`` in [lo, hi], given g(lo) = ``g_lo`` and a sign change on the bracket.
+
+    Halves the bracket until it is no wider than ``xtol`` (or spans two
+    adjacent floats) and returns its midpoint.
+    """
+    while hi - lo > xtol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scan_band_edges(comb, k_max, scan_step=0.01):
+    """band_edges one point at a time: a transfer per scan point, a bisection per bracket."""
 
     def g(k):
-        return abs(scalar_kp_relation(x4, a, k)) - 1.0
+        t = scalar_cell_transfer(comb, k)
+        return abs(_half_sum(t[0, 0], t[1, 1])) - 1.0
 
-    ks = np.arange(scan_step / a, k_max + scan_step / a, scan_step / a)
+    step = scan_step / comb.period
+    ks = np.arange(step, k_max + step, step)
     edges, prev_k, prev_g = [], float(ks[0]), g(float(ks[0]))
     for k in map(float, ks[1:]):
         cur_g = g(k)
         if prev_g == 0.0:
             edges.append(prev_k)
         elif prev_g * cur_g < 0:
-            edges.append(_bisect(g, prev_k, k, prev_g))
+            edges.append(bisect(g, prev_k, k, prev_g))
         prev_k, prev_g = k, cur_g
     return np.array(edges)
 
@@ -742,7 +774,33 @@ def scan_band_edges(x4, a, k_max, scan_step=0.01):
     + [((0.0, 1.0, 7.0), math.pi / 100)],
 )
 def test_band_edges_equals_the_per_point_scan(args, scan_step):
-    assert np.array_equal(band_edges(*args, scan_step=scan_step), scan_band_edges(*args, scan_step))
+    x4, a, k_max = args
+    comb = x4_comb(x4, a)
+    edges = band_edges(comb, k_max, scan_step=scan_step)
+    assert np.array_equal(edges, scan_band_edges(comb, k_max, scan_step))
+
+
+def test_band_edges_of_a_decoupled_two_defect_comb():
+    cell = Device((r_flip_defect(0.6), FreeSegment(0.3), r_flip_defect(-0.4), FreeSegment(0.5)))
+    ks = np.linspace(0.005, 12.0, 6000)
+
+    def half_trace(scalar, k):
+        return np.trace(scalar_cell_transfer(scalar, k), axis1=-2, axis2=-1) / 2
+
+    for scalar in spin_decouple(PeriodicComb(cell, 1.3)):
+        edges = band_edges(scalar, 12.0)
+        assert len(edges) >= 6
+        assert np.abs(np.abs(half_trace(scalar, edges)) - 1.0).max() <= 1e-12
+        # the edges cut (0, 12] into intervals that alternate between band and gap
+        bounds = np.concatenate([[0.0], edges, [12.0]])
+        band = np.abs(half_trace(scalar, 0.5 * (bounds[:-1] + bounds[1:]))) <= 1.0
+        assert np.all(band[1:] != band[:-1])
+        k, _, _ = scalar_dispersion(scalar, ks)
+        assert 0 < len(k) < len(ks)
+        assert np.all(band[np.searchsorted(bounds, k) - 1])
+        # and every grid point of a band, clear of its edges, propagates
+        clear = np.abs(ks[:, None] - edges).min(axis=1) > 1e-9
+        assert np.array_equal(np.isin(ks, k)[clear], band[np.searchsorted(bounds, ks) - 1][clear])
 
 
 def test_scalar_kp_relation_of_an_array_equals_scalar_calls():

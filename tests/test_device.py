@@ -33,6 +33,7 @@ from spinpoint import (
     propagation,
     r_flip_defect,
     rtilde_flip_defect,
+    scalar_dispersion,
     spectrum,
     total_transfer,
     transfer_to_scattering,
@@ -466,18 +467,23 @@ def test_spectrum_overflowing_transfer_raises():
     [
         lambda ks: spectrum(Device(), ks),
         lambda ks: dispersion(PeriodicComb(Device((r_flip_defect(0.2),)), 1.0), ks),
+        lambda ks: scalar_dispersion(PeriodicComb(Device((x4_defect(0.2),)), 1.0), ks),
     ],
-    ids=["spectrum", "dispersion"],
+    ids=["spectrum", "dispersion", "scalar_dispersion"],
 )
 def test_spectrum_grid_validation(sweep):
     with pytest.raises(ParameterDomainError, match="non-empty"):
         sweep([])
+    with pytest.raises(ParameterDomainError, match="non-empty 1d"):
+        sweep([[1.0, 2.0]])
     with pytest.raises(ParameterDomainError, match=r"> 0, got -1\.0$"):
         sweep([-1.0, 1.0])
     with pytest.raises(ParameterDomainError, match=r"> 0, got 0\.0$"):
         sweep([1.0, 0.0, -1.0])
     with pytest.raises(ParameterDomainError, match="ascending"):
         sweep([2.0, 1.0])
+    with pytest.raises(ParameterDomainError, match="ascending"):
+        sweep([3.0, 1.0, 2.0])
     top = math.sqrt(sys.float_info.max)  # the largest momentum whose energy k^2 is finite
     sweep([1.0, top])
     for k in (math.nextafter(top, math.inf), 1e200):

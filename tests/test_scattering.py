@@ -177,6 +177,20 @@ def test_closed_form_row_norm_identity(k, r):
     assert np.abs(s.conj().T @ s - np.eye(4)).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (math.nan, r"^r must be a finite number$"),
+        (math.inf, r"^r must be a finite number$"),
+        (True, r"^r must be a number, got True$"),
+        ("0.5", r"^r must be a number, got '0\.5'$"),
+    ],
+)
+def test_closed_form_checks_its_strength(r, message):
+    with pytest.raises(ParameterDomainError, match=message):
+        closed_form_flip_smatrix(1.0, r)
+
+
 @pytest.mark.parametrize("k,r", [(1e200, 1.0), (1e200, -1.0), (1e150, 1e10), (1e154, 1.0)])
 def test_closed_form_stays_unitary_where_kr_squared_overflows(k, r):
     # (kr)^2 overflows in all but the last case: the limit is total reflection
