@@ -37,7 +37,7 @@ import numpy as np
 from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_grid
 from .device import total_transfer
 from .errors import FitWindowError, ParameterDomainError
-from .extensions import DefectKind, check_positive, check_real, x4_defect
+from .extensions import DefectKind, check_positive, check_real, check_tolerance, x4_defect
 from .scattering import _half_sum, check_finite, check_momenta, free_channels
 
 __all__ = [
@@ -66,6 +66,8 @@ class PeriodicComb:
     period: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.cell, Device):
+            raise ParameterDomainError(f"cell must be a Device, got {type(self.cell).__name__}")
         object.__setattr__(self, "period", check_positive(self.period, "period"))
         internal = self.cell.total_length
         if internal > self.period * (1 + 1e-12):  # slack for the round-off of the sum
@@ -280,8 +282,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDi
     Raises :class:`InvalidTransferError` at the first momentum whose cell
     transfer overflowed.  ``bloch_tol`` must be > 0.
     """
-    if not bloch_tol > 0:
-        raise ParameterDomainError(f"bloch_tol must be > 0, got {bloch_tol}")
+    bloch_tol = check_tolerance(bloch_tol, "bloch_tol")
     ks = check_k_grid(k_grid)
     a = comb.period
     lam, vecs, jordan = _channel_roots(comb, ks)

@@ -21,8 +21,8 @@ import numpy as np
 from . import bands as _bands
 from . import device as _device
 from .device import Device, FreeSegment, SweepSpec
-from .errors import ConfigError, SpinpointError
-from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_real, conserves_currents
+from .errors import ConfigError, ParameterDomainError, SpinpointError
+from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_positive, conserves_currents
 from .extensions import defect_matrix
 from .scattering import CHANNELS, channel_probabilities
 
@@ -51,9 +51,8 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = check_real(getattr(self, f.name), f"key {f.name!r} in tolerances", ConfigError)
-            if not value > 0:
-                raise ConfigError(f"key {f.name!r} in tolerances must be > 0")
+            name = f"key {f.name!r} in tolerances"
+            value = check_positive(getattr(self, f.name), name, ConfigError)
             object.__setattr__(self, f.name, value)
 
 
@@ -105,71 +104,59 @@ def _check_keys(doc: dict, allowed: set[str], context: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {context}")
 
 
-def _number(doc: dict, key: str, context: str, default=None) -> float:
+def _record_at(context: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ParameterDomainError a ConfigError prefixed by ``context``."""
+    try:
+        return cls(*args, **kwargs)
+    except ParameterDomainError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _require_key(doc: dict, key: str, context: str):
     if key not in doc:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in {context}")
-        return default
-    return check_real(doc[key], f"key {key!r} in {context}", ConfigError)
+        raise ConfigError(f"missing required key {key!r} in {context}")
+    return doc[key]
+
+
+def _build_list(doc: dict, key: str, context: str, build) -> tuple:
+    items = doc.get(key)
+    if not isinstance(items, list):
+        raise ConfigError(f"key {key!r} in {context} must be a list")
+    return tuple(build(item, f"{context}.{key}[{i}]") for i, item in enumerate(items))
 
 
 def _build_defect(doc, context: str) -> DefectSpec:
     doc = _require_mapping(doc, context)
-    if "kind" not in doc:
-        raise ConfigError(f"missing required key 'kind' in {context}")
-    try:
-        kind = DefectKind(doc["kind"])
-    except ValueError:
-        valid = ", ".join(k.value for k in DefectKind)
-        raise ConfigError(
-            f"unknown defect kind {doc['kind']!r} in {context}; expected one of: {valid}"
-        ) from None
+    kind = _record_at(context, DefectKind, _require_key(doc, "kind", context))
     if kind is DefectKind.PRODUCT:
         _check_keys(doc, {"kind", "factors"}, context)
-        factors = doc.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise ConfigError(f"key 'factors' in {context} must be a non-empty list")
-        built = tuple(
-            _build_defect(f, f"{context}.factors[{i}]") for i, f in enumerate(factors)
-        )
-        return DefectSpec(DefectKind.PRODUCT, factors=built)
+        factors = _build_list(doc, "factors", context, _build_defect)
+        return _record_at(context, DefectSpec, kind, factors=factors)
     param = PARAM_KEY[kind]
     _check_keys(doc, {"kind", param}, context)
-    return DefectSpec(kind, _number(doc, param, context))
+    return _record_at(context, DefectSpec, kind, _require_key(doc, param, context))
 
 
 def _build_element(doc, context: str):
     doc = _require_mapping(doc, context)
     if "free" in doc:
         _check_keys(doc, {"free"}, context)
-        length = _number(doc, "free", context)
-        if not length > 0:
-            raise ConfigError(f"free segment length must be positive in {context}")
-        return FreeSegment(length)
+        return _record_at(context, FreeSegment, doc["free"])
     return _build_defect(doc, context)
-
-
-def _build_elements(doc: dict, key: str, context: str) -> Device:
-    elements = doc.get(key)
-    if not isinstance(elements, list):
-        raise ConfigError(f"key {key!r} in {context} must be a list")
-    return Device(
-        tuple(_build_element(el, f"{context}.{key}[{i}]") for i, el in enumerate(elements))
-    )
 
 
 def _build_device(doc, context: str) -> Device:
     doc = _require_mapping(doc, context)
     _check_keys(doc, {"elements"}, context)
-    return _build_elements(doc, "elements", context)
+    return Device(_build_list(doc, "elements", context, _build_element))
 
 
 def _build_comb(doc, context: str) -> _bands.PeriodicComb:
     doc = _require_mapping(doc, context)
     _check_keys(doc, {"period", "cell"}, context)
-    period = _number(doc, "period", context, default=1.0)
-    cell = _build_elements(doc, "cell", context) if "cell" in doc else Device(())
-    return _bands.PeriodicComb(cell, period)
+    cell = Device(_build_list(doc, "cell", context, _build_element) if "cell" in doc else ())
+    period = doc.get("period", _bands.PeriodicComb.period)
+    return _record_at(context, _bands.PeriodicComb, cell, period)
 
 
 def _build_record(cls, doc, context: str):
@@ -190,9 +177,11 @@ _SECTIONS = {
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document into a RunConfig.
 
-    Rejects unknown keys, fills documented defaults, and propagates
-    parameter-domain errors from defect construction.  Parse failures
-    report line and column.
+    Checks the JSON shape (objects, known and required keys, lists) and
+    fills documented defaults; the records check every value, and an
+    element's ParameterDomainError becomes a ConfigError that starts with
+    the element's JSON path, e.g. ``device.elements[1]: ...``.  Parse
+    failures report line and column.
     """
     try:
         return _build_config(json.loads(text))

@@ -73,6 +73,11 @@ class DefectKind(str, Enum):
     RTILDE_FLIP = "rtilde_x1"
     PRODUCT = "product"
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(k.value for k in cls)
+        raise ParameterDomainError(f"unknown defect kind {value!r}; expected one of: {valid}")
+
 
 def check_real(value, name: str, error: type[Exception] = ParameterDomainError) -> float:
     """``value`` as a float; ``error`` unless it is a finite real number (a bool is not)."""
@@ -83,12 +88,21 @@ def check_real(value, name: str, error: type[Exception] = ParameterDomainError) 
     return float(value)
 
 
-def check_positive(value, name: str) -> float:
-    """``value`` as a float; ParameterDomainError unless it is a finite real number > 0."""
-    value = check_real(value, name)
+def check_positive(value, name: str, error: type[Exception] = ParameterDomainError) -> float:
+    """``value`` as a float; ``error`` unless it is a finite real number > 0."""
+    value = check_real(value, name, error)
     if not value > 0:
-        raise ParameterDomainError(f"{name} must be > 0, got {value}")
+        raise error(f"{name} must be > 0, got {value}")
     return value
+
+
+def check_tolerance(tol, name: str) -> float:
+    """``tol`` as a float; ParameterDomainError unless it is a real number > 0 (``inf`` passes)."""
+    if isinstance(tol, bool) or not isinstance(tol, Real):
+        raise ParameterDomainError(f"{name} must be a number, got {tol!r}")
+    if not tol > 0:
+        raise ParameterDomainError(f"{name} must be > 0, got {tol}")
+    return float(tol)
 
 
 #: Config key of the single parameter of each non-product kind.
@@ -146,10 +160,8 @@ class DefectSpec:
         if self.factors:
             raise ParameterDomainError(f"{self.kind.value} defect takes no factors")
         name = f"parameter {PARAM_KEY[self.kind]!r} of a {self.kind.value} defect"
-        value = check_real(self.value, name)
-        if self.kind is DefectKind.MASS_JUMP and not value > 0:
-            raise ParameterDomainError(f"mass-jump parameter mu must be > 0, got {value}")
-        object.__setattr__(self, "value", value)
+        check = check_positive if self.kind is DefectKind.MASS_JUMP else check_real
+        object.__setattr__(self, "value", check(self.value, name))
 
 
 def x1_defect(x1: float) -> DefectSpec:
@@ -302,7 +314,7 @@ def compose(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
-        raise ValueError("compose requires at least one matrix")
+        raise ParameterDomainError("compose requires at least one matrix")
     return reduce(np.matmul, mats)
 
 
@@ -313,8 +325,7 @@ def conserves_currents(matrix: np.ndarray, tol: float = 1e-12) -> CurrentReport:
     ``M^dag F_i M - F_i``; the component flag is True iff its residual
     is at most ``tol``.
     """
-    if not tol > 0:
-        raise ParameterDomainError(f"tolerance must be > 0, got {tol}")
+    tol = check_tolerance(tol, "tolerance")
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ParameterDomainError(f"boundary matrix must be 4x4, got shape {m.shape}")

@@ -35,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidTransferError, ParameterDomainError, SpectralSingularityError
-from .extensions import check_positive, check_real, current_forms, current_residual
+from .extensions import check_positive, check_real, check_tolerance, current_forms, current_residual
 
 __all__ = [
     "CHANNELS",
@@ -221,8 +221,7 @@ def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> Non
     not commute with the spin swap; residuals are relative to the (squared) matrix scale.
     ``tol`` must be > 0; ``inf`` passes every finite transfer.
     """
-    if not tol > 0:
-        raise ParameterDomainError(f"conservation_tol must be > 0, got {tol}")
+    tol = check_tolerance(tol, "conservation_tol")
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.abs(transfers).max(axis=(-2, -1)) ** 2)
         current = current_residual(transfers, _FORM_X) / scale
@@ -277,18 +276,22 @@ def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
 
     Unitary for every real r (``r`` must be finite).  Where (kr)^2 overflows,
     the k2r2 entries take their limit 1 and the others 0 (total reflection).
-    Use :func:`closed_form_to_grouped` to reorder into the grouped channel convention.
+    An array of n momenta gives an (n, 4, 4) stack.  Use :func:`closed_form_to_grouped`
+    to reorder into the grouped channel convention.
     """
-    check_momenta(k)
+    ks = check_momenta(k)
     r = check_real(r, "r")
     with np.errstate(over="ignore", invalid="ignore"):
-        kr = k * r
+        kr = ks * r
         d = kr * kr + 4.0
         reflect = np.isinf(d)  # (kr)^2 overflowed
         t = np.where(reflect, 1.0, kr * kr / d)
         u = 4.0 / d
-        f = np.where(reflect, 0.0, 2j * kr / d)
-    return np.array(
+        # 2j * kr / d built from its parts, so that an array of k gets the bits of the scalar
+        # division (numpy's complex division rounds twice); + 0.0 makes kr = -0.0 give +0j
+        im = np.where(reflect, 0.0, (2 * kr + 0.0) / d)
+        f = np.stack([0.0 * im, im], -1).view(complex)[..., 0]
+    s = np.array(
         [
             [t, u, -f, f],
             [u, t, f, -f],
@@ -297,6 +300,7 @@ def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+    return np.moveaxis(s, (0, 1), (-2, -1))
 
 
 def closed_form_to_grouped(matrix: np.ndarray) -> np.ndarray:

@@ -539,6 +539,13 @@ def test_dispersion_bloch_tol_must_be_positive(bloch_tol):
         dispersion(flip_comb(0.4), np.linspace(0.1, 5.0, 40), bloch_tol=bloch_tol)
 
 
+@pytest.mark.parametrize("bloch_tol", ["1e-8", True, None])
+def test_dispersion_bloch_tol_must_be_a_number(bloch_tol):
+    message = rf"^bloch_tol must be a number, got {bloch_tol!r}$"
+    with pytest.raises(ParameterDomainError, match=message):
+        dispersion(flip_comb(0.4), np.linspace(0.1, 5.0, 40), bloch_tol=bloch_tol)
+
+
 def test_band_edges_scalar_vs_eigencount():
     a, k_max = 1.0, 7.0
     for x4 in (-0.5, 0.5):
@@ -665,6 +672,12 @@ def test_scalar_route_takes_checked_comb_records():
         PeriodicComb(Device((x4_defect(1.0), FreeSegment(2.0))), 1.0)
     comb = PeriodicComb(Device((x4_defect(1), FreeSegment(1))), 2)
     assert comb.period == 2.0 and comb.fill_length == 1.0
+
+
+@pytest.mark.parametrize("cell", [[x4_defect(1.0)], (), None], ids=["list", "tuple", "none"])
+def test_comb_cell_must_be_a_device(cell):
+    with pytest.raises(ParameterDomainError, match="^cell must be a Device, got "):
+        PeriodicComb(cell, 1.0)
 
 
 def test_comb_length_slack_is_relative_to_the_period():

@@ -20,7 +20,6 @@ from spinpoint import (
     DefectSpec,
     Device,
     FreeSegment,
-    ParameterDomainError,
     PeriodicComb,
     flux_defect,
     mass_jump_defect,
@@ -91,8 +90,55 @@ def test_negative_free_length_names_element_index():
 
 def test_negative_mu_propagates_parameter_domain_error():
     text = make_config(command="check", defect={"kind": "mass_jump", "mu": -1.0})
-    with pytest.raises(ParameterDomainError):
+    message = r"^defect: parameter 'mu' of a mass_jump defect must be > 0, got -1\.0$"
+    with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+X1_DOC = {"kind": "x1", "x1": 1.0}
+
+
+def device_config(*elements):
+    return make_config(command="device", device={"elements": [X1_DOC, *elements]})
+
+
+def comb_config(period, *cell):
+    return make_config(command="bands", comb={"period": period, "cell": list(cell)})
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (device_config({"kind": "mass_jump", "mu": 0}), "device.elements[1]"),
+        (comb_config(-1.0, X1_DOC), "comb"),
+        (comb_config(1.0, X1_DOC, {"free": 0.5}, {"free": 0.75}), "comb"),
+        (device_config({"free": -1}), "device.elements[1]"),
+        (device_config({"kind": "x1", "x1": math.nan}), "device.elements[1]"),
+        (comb_config(1.0, {"kind": "x1", "x1": "0.5"}), "comb.cell[0]"),
+        (make_config(command="check", defect={"kind": "bogus"}), "defect"),
+        (make_config(command="check", defect={"kind": "product", "factors": []}), "defect"),
+        (
+            device_config({"kind": "product", "factors": [{"kind": "r_x4", "r": True}]}),
+            "device.elements[1].factors[0]",
+        ),
+    ],
+    ids=[
+        "mu_zero",
+        "period_negative",
+        "cell_longer_than_period",
+        "free_negative",
+        "x1_nan",
+        "x1_string",
+        "unknown_kind",
+        "factors_empty",
+        "factor_nested",
+    ],
+)
+def test_element_errors_start_with_their_json_path(text, path):
+    # the records own every element rule; the reader only adds where the element sits
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_parse_error_reports_line_and_column():
@@ -140,7 +186,7 @@ def test_run_rejects_config_without_its_section():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Tolerances(bloch=-1.0), r"^key 'bloch' in tolerances must be > 0$"),
+        (lambda: Tolerances(bloch=-1.0), r"^key 'bloch' in tolerances must be > 0, got -1\.0$"),
         (lambda: Tolerances(transfer=math.inf), "^key 'transfer' in tolerances must be a finite"),
         (lambda: SweepSpec(points=2.5), r"^key 'points' in sweep must be an integer$"),
         (lambda: SweepSpec(k_max=math.inf), "^key 'k_max' in sweep must be a finite number$"),
@@ -505,21 +551,33 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, where",
     [
-        ("scatter", {"defect": {"kind": "r_x4", "r": 0.5}, "sweep": {"k_max": math.inf}}),
-        ("device", {"device": {"elements": [{"kind": "x1", "x1": math.nan}]}}),
-        ("device", {"device": {"elements": [{"free": math.inf}]}}),
-        ("check", {"defect": {"kind": "x1", "x1": 10**400}}),
+        (
+            "scatter",
+            {"defect": {"kind": "r_x4", "r": 0.5}, "sweep": {"k_max": math.inf}},
+            "key 'k_max' in sweep",
+        ),
+        (
+            "device",
+            {"device": {"elements": [{"kind": "x1", "x1": math.nan}]}},
+            "device.elements[0]: parameter 'x1'",
+        ),
+        (
+            "device",
+            {"device": {"elements": [{"free": math.inf}]}},
+            "device.elements[0]: free segment length",
+        ),
+        ("check", {"defect": {"kind": "x1", "x1": 10**400}}, "defect: parameter 'x1'"),
     ],
     ids=["k_max_infinity", "x1_nan", "free_infinity", "x1_beyond_float"],
 )
-def test_main_rejects_non_finite_numbers(command, doc, tmp_path, capsys):
+def test_main_rejects_non_finite_numbers(command, doc, where, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(make_config(command=command, **doc))
     assert main([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: key ") and err.endswith("must be a finite number\n")
+    assert err.startswith(f"error: {where} ") and err.endswith("must be a finite number\n")
     assert err.count("\n") == 1
 
 
@@ -534,12 +592,12 @@ ENERGY_OVERFLOW = (
         (
             "bands",
             {"comb": {"cell": []}, "tolerances": {"bloch": -1.0}},
-            "error: key 'bloch' in tolerances must be > 0\n",
+            "error: key 'bloch' in tolerances must be > 0, got -1.0\n",
         ),
         (
             "scatter",
             {"defect": {"kind": "x1", "x1": 1.0}, "tolerances": {"transfer": 0}},
-            "error: key 'transfer' in tolerances must be > 0\n",
+            "error: key 'transfer' in tolerances must be > 0, got 0.0\n",
         ),
         (
             "device",

@@ -124,6 +124,11 @@ def test_compose_empty_is_usage_error():
         compose([])
 
 
+def test_compose_of_nothing_is_a_parameter_domain_error():
+    with pytest.raises(ParameterDomainError, match="^compose requires at least one matrix$"):
+        compose([])
+
+
 def test_product_defect_ordering():
     factors = [rtilde_flip_defect(0.3), r_flip_defect(0.7), mass_jump_defect(2.0)]
     m = defect_matrix(product_defect(factors))
@@ -197,6 +202,27 @@ def test_identity_residual_equals_explicit_identity_form(parts, nan_rows):
 def test_conserves_tol_validation():
     with pytest.raises(ParameterDomainError):
         conserves_currents(np.eye(4), tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        ("1e-12", r"^tolerance must be a number, got '1e-12'$"),
+        (True, r"^tolerance must be a number, got True$"),
+        (None, r"^tolerance must be a number, got None$"),
+        (math.nan, r"^tolerance must be > 0, got nan$"),
+        (-1, r"^tolerance must be > 0, got -1$"),
+    ],
+    ids=["string", "bool", "none", "nan", "negative"],
+)
+def test_conserves_tol_is_a_number_above_zero(tol, message):
+    with pytest.raises(ParameterDomainError, match=message):
+        conserves_currents(np.eye(4), tol=tol)
+
+
+def test_conserves_tol_may_be_infinite():
+    report = conserves_currents(defect_matrix(x1_defect(1.0)), tol=math.inf)
+    assert report.all_conserved and report.tol == math.inf
 
 
 @given(
@@ -295,6 +321,16 @@ def test_defect_spec_validation():
         product_defect([])
     with pytest.raises(ParameterDomainError):
         DefectSpec(DefectKind.X1, factors=(x1_defect(1.0),))
+
+
+def test_unknown_kind_names_the_kinds():
+    kinds = "x1, x4, mass_jump, flux, r_x4, rtilde_x1, product"
+    message = f"^unknown defect kind 'bogus'; expected one of: {kinds}$"
+    with pytest.raises(ParameterDomainError, match=message):
+        DefectSpec("bogus", 1.0)
+    with pytest.raises(ParameterDomainError, match=r"^unknown defect kind \[1\]"):
+        DefectKind([1])
+    assert DefectSpec("x1", 1.0) == x1_defect(1.0)
 
 
 def test_defect_spec_holds_one_value_per_kind():

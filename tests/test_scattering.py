@@ -191,6 +191,27 @@ def test_closed_form_checks_its_strength(r, message):
         closed_form_flip_smatrix(1.0, r)
 
 
+@pytest.mark.parametrize("r", [0.7, -2.5, 1e-200, -1e-320, 3e150, -0.0])
+def test_closed_form_of_an_array_of_k_is_a_stack_of_scalar_calls(r):
+    # momenta from subnormal k * r up to (kr)^2 overflow; n = 3 and n = 4 also check that
+    # the matrix axes come last, where closed_form_to_grouped permutes
+    ks = np.geomspace(sys.float_info.min, 1e300, 64)
+    for n in (3, 4, len(ks)):
+        stack = closed_form_flip_smatrix(ks[:n], r)
+        assert stack.shape == (n, 4, 4)
+        grouped = closed_form_to_grouped(stack)
+        for i, k in enumerate(ks[:n]):
+            alone = closed_form_flip_smatrix(float(k), r)
+            assert stack[i].tobytes() == alone.tobytes()
+            assert grouped[i].tobytes() == closed_form_to_grouped(alone).tobytes()
+    for k in ks:
+        # a scalar k keeps the bits of Python's complex 2j * kr / d, signed zeros too
+        kr = float(k) * r
+        if math.isfinite(kr * kr):
+            f = np.complex128(2j * kr / (kr * kr + 4.0))
+            assert closed_form_flip_smatrix(float(k), r)[0, 3].tobytes() == f.tobytes()
+
+
 @pytest.mark.parametrize("k,r", [(1e200, 1.0), (1e200, -1.0), (1e150, 1e10), (1e154, 1.0)])
 def test_closed_form_stays_unitary_where_kr_squared_overflows(k, r):
     # (kr)^2 overflows in all but the last case: the limit is total reflection
@@ -325,6 +346,13 @@ CONSERVATION_ROUTES = {
 def test_conservation_tol_must_be_positive(route, tol):
     # a nan gate would flag nothing, and a negative one every transfer
     with pytest.raises(ParameterDomainError, match=rf"^conservation_tol must be > 0, got {tol}$"):
+        CONSERVATION_ROUTES[route](tol)
+
+
+@pytest.mark.parametrize("route", sorted(CONSERVATION_ROUTES))
+@pytest.mark.parametrize("tol", ["1e-10", True, None], ids=["string", "bool", "none"])
+def test_conservation_tol_must_be_a_number(route, tol):
+    with pytest.raises(ParameterDomainError, match="^conservation_tol must be a number, got "):
         CONSERVATION_ROUTES[route](tol)
 
 
