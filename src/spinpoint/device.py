@@ -92,23 +92,43 @@ def channel_transfer(device: Device, k) -> np.ndarray:
     composition runs on arrays indexed [row, col, channel, *k.shape], so
     each element costs three ufuncs over the momenta; the result equals the
     element-by-element product bit for bit.  The rightmost element's matrix
-    ends up leftmost in the product.  Raises :class:`InvalidTransferError`
-    at the first momentum where it overflowed.
+    ends up leftmost in the product.  Every element but a ``flux`` defect
+    has a real matrix, so unless a defect's channel blocks have a non-zero
+    imaginary part the composition runs in real arithmetic: the real parts
+    are those of the complex product, and every imaginary part is +0.0,
+    where the complex product may give -0.0.  Raises
+    :class:`InvalidTransferError` at the first momentum where it overflowed.
     """
     ks = check_momenta(k)
-    ones = (1,) * ks.ndim  # the momentum axes of an element that does not depend on k
-    lengths = [el.length for el in device.elements if isinstance(el, FreeSegment)]
+    return _compose(device.elements, _defect_matrices(device), ks)
+
+
+def _defect_matrices(device: Device) -> np.ndarray:
+    """The (n, 4, 4) stack of the matrices of a device's n defects, in element order."""
     matrices = [defect_matrix(el) for el in device.elements if isinstance(el, DefectSpec)]
-    total = np.eye(2).reshape((2, 2, 1) + ones)  # the first element's entries replace it
+    return np.reshape(matrices, (-1, 4, 4))
+
+
+def _compose(elements, matrices: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """:func:`channel_transfer` of ``elements`` at checked momenta, the defects' matrices given."""
+    ones = (1,) * ks.ndim  # the momentum axes of an element that does not depend on k
+    lengths = [el.length for el in elements if isinstance(el, FreeSegment)]
+    blocks = channel_blocks(matrices)
+    if not blocks.imag.any():
+        blocks = blocks.real
     with np.errstate(over="ignore", invalid="ignore"):
-        # each kind's entries in one call, as (n, row, col, channel, *k.shape) in element order
-        free = free_channels(ks, np.reshape(lengths, (-1,) + ones))
-        free = iter(np.moveaxis(free, (2, -1), (0, 3)))
-        blocks = channel_blocks(np.reshape(matrices, (-1, 4, 4)))
-        defects = iter(np.moveaxis(blocks, 2, 0).reshape((-1, 2, 2, 2) + ones))
-        for i, el in enumerate(device.elements):
-            m = next(defects if isinstance(el, DefectSpec) else free)
-            total = m[:, 0, None] * total[0] + m[:, 1, None] * total[1] if i else m
+        # each kind's entries in one call, as (n, row, col, channel, *k.shape) in element order,
+        # iterated with each element's two columns as views
+        free = np.moveaxis(free_channels(ks, np.reshape(lengths, (-1,) + ones)), (2, -1), (0, 3))
+        defects = np.moveaxis(blocks, 2, 0).reshape((-1, 2, 2, 2) + ones)
+        free, defects = (iter(zip(m, m[:, :, :1], m[:, :, 1:])) for m in (free, defects))
+        views = (next(defects if isinstance(el, DefectSpec) else free) for el in elements)
+        # the first element's entries, or the identity
+        total = next(views, (np.eye(2).reshape((2, 2, 1) + ones),))[0]
+        for _, col0, col1 in views:
+            product = col0 * total[0]
+            product += col1 * total[1]
+            total = product
     out = np.empty((2, 2) + ks.shape + (2,), dtype=complex)
     out[...] = np.moveaxis(total, 2, -1)
     check_finite(np.isfinite(out).all(axis=(0, 1, -1)), ks)
@@ -143,16 +163,20 @@ def check_k_grid(k_grid) -> np.ndarray:
 def spectrum(device: Device, k_grid, *, conservation_tol: float = 1e-10) -> SpectrumTable:
     """Sweep a device's S-matrices over a k grid.
 
-    Free propagation conserves the current exactly, so the gate (``conservation_tol``)
-    checks each distinct defect once, at the first momentum; the S stack ``smatrix`` is then
+    Each defect's matrix is built once.  Free propagation conserves the current exactly, so
+    the gate (``conservation_tol``) checks each distinct defect once, in the order of first
+    occurrence, at the first momentum; the S stack ``smatrix`` is then
     :func:`channel_scattering` of :func:`channel_transfer`.  A momentum whose S-matrix is
     not finite gives a NaN row flagged ``singular`` instead of failing the whole sweep.
     """
     ks = check_k_grid(k_grid)
-    defects = [el for el in dict.fromkeys(device.elements) if isinstance(el, DefectSpec)]
-    gate = np.reshape([defect_matrix(el) for el in defects], (-1, 4, 4))
+    matrices = _defect_matrices(device)
+    first = {}  # each distinct defect's first index in the stack, in element order
+    for i, el in enumerate(el for el in device.elements if isinstance(el, DefectSpec)):
+        first.setdefault(el, i)
+    gate = matrices[list(first.values())]
     check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
-    s, singular = channel_scattering(channel_transfer(device, ks), ks)
+    s, singular = channel_scattering(_compose(device.elements, matrices, ks), ks)
     residual = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
     return SpectrumTable(
         k=ks, energy=ks * ks, smatrix=s, unitarity_residual=residual, singular=singular

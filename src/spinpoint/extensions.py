@@ -301,18 +301,29 @@ def defect_matrix(spec: DefectSpec) -> np.ndarray:
         m[1, 2] = spec.value
         m[3, 0] = spec.value
         return m
-    if kind is DefectKind.PRODUCT:
-        return compose([defect_matrix(f) for f in spec.factors])
-    raise ParameterDomainError(f"unknown defect kind {kind!r}")
+    return compose([defect_matrix(f) for f in spec.factors])  # PRODUCT, the last kind
+
+
+def _boundary_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a complex 4x4 array; ParameterDomainError unless it is a numeric 4x4."""
+    try:
+        m = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError):
+        raise ParameterDomainError(
+            f"boundary matrix must be a numeric array, got {matrix!r}"
+        ) from None
+    if m.shape != (4, 4):
+        raise ParameterDomainError(f"boundary matrix must be 4x4, got shape {m.shape}")
+    return m
 
 
 def compose(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Ordered product of boundary matrices; the rightmost acts first.
+    """Ordered product of 4x4 boundary matrices; the rightmost acts first.
 
     ``compose([A, B])`` equals ``A @ B``, i.e. B is applied to the left-side
     boundary vector before A.
     """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    mats = [_boundary_matrix(m) for m in matrices]
     if not mats:
         raise ParameterDomainError("compose requires at least one matrix")
     return reduce(np.matmul, mats)
@@ -326,9 +337,7 @@ def conserves_currents(matrix: np.ndarray, tol: float = 1e-12) -> CurrentReport:
     is at most ``tol``.
     """
     tol = check_tolerance(tol, "tolerance")
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ParameterDomainError(f"boundary matrix must be 4x4, got shape {m.shape}")
+    m = _boundary_matrix(matrix)
     rx, ry, rz = (float(current_residual(m, form.matrix)) for form in current_forms())
     return CurrentReport(rx <= tol, ry <= tol, rz <= tol, (rx, ry, rz), tol)
 

@@ -173,29 +173,70 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def contains_flux(elements):
+    return any(
+        isinstance(el, DefectSpec) and (el.kind is DefectKind.FLUX or contains_flux(el.factors))
+        for el in elements
+    )
+
+
+def agrees_with_the_4x4_composition(device, k):
+    """Bit for bit with the reference where the device has a flux defect; otherwise it composes
+    in real arithmetic, so its real parts are the reference's and its imaginary parts +0.0 (the
+    reference's complex arithmetic may give -0.0)."""
+    got, want = channel_transfer(device, k), matmul_channel_transfer(device, k)
+    if contains_flux(device.elements):
+        return same_bits(got, want)
+    return same_bits(got.real, want.real) and same_bits(got.imag, np.zeros(got.shape))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_channel_transfer_equals_the_4x4_element_composition(seed):
     rng = np.random.default_rng(seed)
     ks = np.geomspace(1e-8, 1e6, 400)
-    dev = random_device(rng, 200)
-    assert same_bits(channel_transfer(dev, ks), matmul_channel_transfer(dev, ks))
+    assert agrees_with_the_4x4_composition(random_device(rng, 200), ks)
     devices = (
         Device(),
         Device((FreeSegment(1.3),)),
+        Device((FreeSegment(0.6), FreeSegment(1.9))),
         Device((x1_defect(0.4), r_flip_defect(-1.2), x4_defect(0.3), flux_defect(0.7))),
+        Device((x1_defect(0.4), product_defect((flux_defect(0.7), x4_defect(0.3))))),
         # equal specs that differ in the sign of a zero are each their own element
         Device((x1_defect(0.0), x1_defect(-0.0))),
         Device((x1_defect(-0.0), x1_defect(0.0), x1_defect(-0.0))),
+        Device((x1_defect(-0.0), flux_defect(0.7), x1_defect(0.0), x1_defect(-0.0))),
         random_device(rng, 30),
     )
-    # free segments alone compose in real arithmetic, the reference in complex
-    # arithmetic, whose zero imaginary parts may come out negative
-    free = Device((FreeSegment(0.6), FreeSegment(1.9)))
+    assert contains_flux(devices[3].elements) and contains_flux(devices[4].elements)
     for k in (2.0, ks[::40], np.geomspace(0.05, 40.0, 12).reshape(3, 4)):
         for dev in devices:
-            assert same_bits(channel_transfer(dev, k), matmul_channel_transfer(dev, k))
-        got, want = channel_transfer(free, k), matmul_channel_transfer(free, k)
-        assert same_bits(got.real, want.real) and same_bits(got.imag, np.zeros(got.shape))
+            assert agrees_with_the_4x4_composition(dev, k)
+
+
+def test_one_flux_defect_keeps_the_complex_composition():
+    rng = np.random.default_rng(7)
+    chain = random_device(rng, 200).elements
+    dev = Device(chain[:100] + (flux_defect(0.7),) + chain[100:])
+    ks = np.geomspace(1e-8, 1e6, 400)
+    assert same_bits(channel_transfer(dev, ks), matmul_channel_transfer(dev, ks))
+
+
+def test_flux_free_overflow_raises_at_the_first_overflowed_momentum():
+    chain = Device((x1_defect(1e3), x4_defect(1e3)) * 60)
+    with pytest.raises(InvalidTransferError, match=r"^transfer matrix overflowed at k=0\.01;"):
+        channel_transfer(chain, np.geomspace(0.01, 20.0, 200))
+    # with free segments a few momenta (9 of these 200) keep a finite transfer; put them first
+    chain = Device((x1_defect(1e3), FreeSegment(1.0), x4_defect(1e3)) * 60)
+    grid = np.geomspace(0.01, 20.0, 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(matmul_channel_transfer(chain, grid)).all(axis=(0, 1, -1))
+    assert finite.any() and not finite.all()
+    ks = np.concatenate([grid[finite], grid[~finite]])
+    k = float(grid[~finite][0])
+    message = f"transfer matrix overflowed at k={k!r}; the device is too opaque"
+    with pytest.raises(InvalidTransferError, match=f"^{re.escape(message)} "):
+        channel_transfer(chain, ks)
+    assert agrees_with_the_4x4_composition(chain, grid[finite])
 
 
 ONE_DEFECT_SPECS = [
@@ -350,20 +391,46 @@ def test_spectrum_rows_sum_to_one():
 
 
 def test_spectrum_flags_singular_rows(monkeypatch):
-    real = device_mod.channel_transfer
+    real = device_mod._compose
 
-    def flaky(device, ks):
+    def flaky(elements, matrices, ks):
         # a zero channel transfer has no S-matrix; no current-conserving transfer is zero
-        channels = real(device, ks)
+        channels = real(elements, matrices, ks)
         channels[:, :, (1.0 < ks) & (ks < 2.0)] = 0.0
         return channels
 
-    monkeypatch.setattr(device_mod, "channel_transfer", flaky)
+    monkeypatch.setattr(device_mod, "_compose", flaky)
     table = spectrum(Device((r_flip_defect(0.2),)), np.linspace(0.5, 3.0, 11))
     assert table.singular.any() and not table.singular.all()
     probs = channel_probabilities(table.smatrix, "left_up")
     assert np.isnan(probs[table.singular]).all()
     assert not np.isnan(probs[~table.singular]).any()
+
+
+def test_spectrum_gates_each_distinct_defect_in_element_order(monkeypatch):
+    # two products whose current residuals are round-off of different sizes, so the gate
+    # message names the first of them in element order; equal specs are one distinct defect
+    p1 = product_defect((x1_defect(0.3), x4_defect(0.7)))
+    p2 = product_defect((mass_jump_defect(1.3), r_flip_defect(0.7)))
+    dev = Device(
+        (x1_defect(0.0), p2, FreeSegment(0.4), p1, x1_defect(-0.0), r_flip_defect(0.5), p2)
+        + (FreeSegment(1.2), x1_defect(0.0))
+    )
+    built = []
+    real = device_mod.defect_matrix
+    monkeypatch.setattr(device_mod, "defect_matrix", lambda el: built.append(el) or real(el))
+    message = (
+        "transfer does not conserve the longitudinal current at k=0.5 "
+        "(relative residual 1.880e-17)"
+    )
+    with pytest.raises(InvalidTransferError, match=f"^{re.escape(message)}$"):
+        spectrum(dev, [0.5, 1.0], conservation_tol=1e-300)
+    defects = [el for el in dev.elements if isinstance(el, DefectSpec)]
+    assert built == defects
+    # a sweep that passes the gate builds each defect's matrix once too
+    built.clear()
+    table = spectrum(dev, [0.5, 1.0])
+    assert built == defects and not table.singular.any()
 
 
 def test_spectrum_smatrix_is_nan_exactly_on_singular_rows():

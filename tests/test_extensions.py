@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ def test_compose_empty_is_usage_error():
 def test_compose_of_nothing_is_a_parameter_domain_error():
     with pytest.raises(ParameterDomainError, match="^compose requires at least one matrix$"):
         compose([])
+
+
+@pytest.mark.parametrize(
+    "check, matrix, message",
+    [
+        (compose, ["x"], "boundary matrix must be a numeric array, got 'x'"),
+        (conserves_currents, "abc", "boundary matrix must be a numeric array, got 'abc'"),
+        (
+            lambda m: compose([np.eye(4), m]),
+            np.ones((1, 3)),
+            "boundary matrix must be 4x4, got shape (1, 3)",
+        ),
+    ],
+    ids=["compose_of_a_string", "conserves_a_string", "compose_of_a_1x3"],
+)
+def test_boundary_matrices_must_be_numeric_4x4(check, matrix, message):
+    with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
+        check(matrix)
 
 
 def test_product_defect_ordering():
