@@ -5,7 +5,10 @@ full schema is documented in the README.  Unknown keys are rejected so
 typos fail loudly.  All CSV output starts with a frozen, versioned header
 comment line ``# spinpoint-csv v1 <command>`` and formats floats with
 Python's shortest round-trip representation, which makes repeated runs of
-the same config byte-identical.
+the same config byte-identical.  Each batch of rows formats each distinct
+float once, keyed by its bit pattern (S-matrix entries repeat, and many
+parts are exactly 0.0); the bytes are those of formatting every field on
+its own.
 """
 
 from __future__ import annotations
@@ -259,11 +262,41 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+#: Rows of a CSV table formatted together; the strings of one batch are alive at a time.
+_CSV_BATCH = 1024
+
+
 def _csv(command: str, header: str, columns) -> str:
-    """CSV v1 text: tag line, header, then one row per index of the equal-length columns."""
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    lines = [f"{CSV_TAG} {command}", header] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV v1 text: tag line, header, then one row per index of the equal-length columns.
+
+    Every field is ``repr`` of its value as a Python scalar.  In each batch
+    of rows, the float64 columns are stacked and each distinct value is
+    formatted once, keyed by its bit pattern, not its value: ``-0.0`` and
+    ``0.0`` compare equal but print differently.  Other columns
+    (``singular``, ``branch_id``) are formatted field by field, so an
+    integer prints as ``0``, not ``0.0``.  The bytes are those of
+    formatting every field on its own.
+    """
+    columns = [np.asarray(col) for col in columns]
+    lines = [f"{CSV_TAG} {command}", header]
+    for start in range(0, len(columns[0]), _CSV_BATCH):
+        lines += _csv_rows([col[start : start + _CSV_BATCH] for col in columns])
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_rows(columns: list[np.ndarray]) -> list[str]:
+    """The comma-joined rows of one batch of ``_csv``."""
+    floats = [i for i, col in enumerate(columns) if col.dtype == np.float64]
+    text = [None if i in floats else list(map(repr, col.tolist())) for i, col in enumerate(columns)]
+    if floats:
+        values = np.stack([columns[i] for i in floats])
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        strings = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        # numpy 1.x returns a flat inverse, numpy 2.x one shaped like ``values``
+        for i, column in zip(floats, strings[inverse.reshape(values.shape)].tolist()):
+            text[i] = column
+    return list(map(",".join, zip(*text)))
 
 
 def _run_check(config: RunConfig) -> str:

@@ -706,19 +706,40 @@ def test_main_happy_path(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
-def test_module_invocation_subprocess(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(make_config(command="check", defect={"kind": "r_x4", "r": 0.5}))
+def fresh_process_main(argv):
+    """Exit code, stdout and stderr of ``python -m spinpoint`` in a new interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "spinpoint", "check", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "spinpoint", *argv], capture_output=True, text=True, env=env
     )
-    assert proc.returncode == 0
-    assert "X: pass, Y: pass, Z: pass" in proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_invocation_subprocess(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(command="check", defect={"kind": "r_x4", "r": 0.5}))
+    code, out, _ = fresh_process_main(["check", "--config", str(path)])
+    assert code == 0
+    assert "X: pass, Y: pass, Z: pass" in out
+
+
+def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys):
+    # one process, several commands: each must print what a fresh interpreter prints
+    scatter = ["scatter", "--config", str(CONFIG_DIR / "scatter.json")]
+    bands = ["bands", "--config", str(CONFIG_DIR / "bands.json")]
+    usage_errors = [["scatter"], ["nosuch", "--config", "x.json"], ["bands", "--out", "x.csv"]]
+    fresh = {}
+    for argv in [scatter, bands, *usage_errors, scatter]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = fresh_process_main(argv)
+        assert (code, out, err) == fresh[tuple(argv)], argv
+        assert code == (2 if argv in usage_errors else 0)
 
 
 def test_fresh_import_loads_no_scipy():
