@@ -9,11 +9,17 @@ the same config byte-identical.  Each batch of rows formats each distinct
 float once, keyed by its bit pattern (S-matrix entries repeat, and many
 parts are exactly 0.0); the bytes are those of formatting every field on
 its own.
+
+``main(argv)`` may be called repeatedly in one process: the argparse parser
+is built on the first call and reused, and each call reads its config and
+writes its output afresh.  This helps callers that run many commands in one
+process; a one-shot ``spinpoint`` run still builds the parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -387,7 +393,9 @@ def _write(out: Path | str, text: str) -> None:
         raise ConfigError(f"cannot write output {str(out)!r}: {exc}") from None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="spinpoint",
         description="1D spin-1/2 transport through point interactions",
@@ -397,7 +405,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, required=True, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if config.command != args.command:

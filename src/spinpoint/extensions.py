@@ -16,12 +16,13 @@ spin blocks (indices 0:2 and 2:4 of Phi); the two genuinely spin-flipping
 interactions couple each spin's value (respectively derivative) to the
 opposite spin's derivative (respectively value).
 
-An interaction matrix is admissible exactly when it conserves the three
-components of the probability/spin current.  Those components are
-quadratic forms ``J_i = Phi^dag F_i Phi`` with Hermitian 4x4 matrices
-``F_i`` returned by :func:`current_forms`; admissibility reads
-``M^dag F_i M = F_i`` for i = x, y, z and is checked numerically by
-:func:`conserves_currents`.
+:func:`current_forms` returns three Hermitian 4x4 matrices ``F_x, F_y,
+F_z``.  An interaction matrix is admissible (the extension is
+self-adjoint) exactly when it conserves the probability current
+``Phi^dag F_x Phi``, i.e. ``M^dag F_x M = F_x``.  The further forms ``F_y``
+and ``F_z`` are conserved by the mass jump, the flux and the two
+spin-flip interactions, but not by the two-block ``x1``/``x4`` lifts.
+:func:`conserves_currents` checks all three numerically.
 """
 
 from __future__ import annotations
@@ -240,13 +241,15 @@ _FORMS = (
 
 
 def current_forms() -> tuple[CurrentForm, CurrentForm, CurrentForm]:
-    """Return the Hermitian forms (F_x, F_y, F_z) of the three current components.
+    """Return the Hermitian forms (F_x, F_y, F_z) that :func:`conserves_currents` checks.
 
     In the boundary-vector basis (psi_up, psi_up', psi_down, psi_down'):
 
     * F_x is block-diagonal with antisymmetric 2x2 blocks [[0,1],[-1,0]]/i and
-      gives the longitudinal probability current 2 Im(psi* psi') per spin.
-    * F_y is block-diagonal with blocks -sigma_x and +sigma_x.
+      gives the longitudinal probability current 2 Im(psi* psi') per spin;
+      conserving it is admissibility.
+    * F_y is block-diagonal with blocks -sigma_x and +sigma_x, so
+      Phi^dag F_y Phi = d/dx (|psi_down|^2 - |psi_up|^2).
     * F_z is block-off-diagonal, mixing the two spin components.
     """
     return _FORMS

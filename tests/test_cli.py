@@ -710,6 +710,7 @@ def fresh_process_main(argv):
     """Exit code, stdout and stderr of ``python -m spinpoint`` in a new interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    env["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     proc = subprocess.run(
         [sys.executable, "-m", "spinpoint", *argv], capture_output=True, text=True, env=env
     )
@@ -724,13 +725,21 @@ def test_module_invocation_subprocess(tmp_path):
     assert "X: pass, Y: pass, Z: pass" in out
 
 
-def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys):
-    # one process, several commands: each must print what a fresh interpreter prints
+def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
+    # one process, several commands: each must print what a fresh interpreter prints,
+    # help and usage errors included, whatever the process parsed before
+    monkeypatch.setenv("COLUMNS", "80")
     scatter = ["scatter", "--config", str(CONFIG_DIR / "scatter.json")]
     bands = ["bands", "--config", str(CONFIG_DIR / "bands.json")]
-    usage_errors = [["scatter"], ["nosuch", "--config", "x.json"], ["bands", "--out", "x.csv"]]
+    helps = [["--help"], ["scatter", "--help"]]
+    usage_errors = [
+        ["scatter"],
+        ["nosuch", "--config", "x.json"],
+        ["bands", "--out", "x.csv"],
+        ["help"],
+    ]
     fresh = {}
-    for argv in [scatter, bands, *usage_errors, scatter]:
+    for argv in [scatter, helps[0], bands, *usage_errors, helps[1], scatter, *helps, bands]:
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -740,6 +749,52 @@ def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys):
             fresh[tuple(argv)] = fresh_process_main(argv)
         assert (code, out, err) == fresh[tuple(argv)], argv
         assert code == (2 if argv in usage_errors else 0)
+        assert out.startswith("usage: spinpoint") == (argv in helps)
+
+
+def test_main_builds_its_parser_once_on_first_call(tmp_path):
+    # a fresh interpreter counts every ArgumentParser built, subparsers included; the
+    # count wraps __init__, since a subclass bound to argparse.ArgumentParser would recurse
+    # through argparse's own super(ArgumentParser, self) call
+    check = tmp_path / "check.json"
+    check.write_text(make_config(command="check", defect={"kind": "r_x4", "r": 0.5}))
+    calls = [
+        ["check", "--config", str(check)],
+        ["scatter", "--config", str(CONFIG_DIR / "scatter.json"), "--out", str(tmp_path / "s")],
+        ["nosuch", "--config", str(check)],
+        ["scatter", "--help"],
+        ["check", "--config", str(check)],
+    ]
+    script = f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import spinpoint.cli
+print(len(built))
+codes = []
+for argv in {calls!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(spinpoint.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes)
+print(built)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    at_import, codes, built = proc.stdout.splitlines()
+    assert at_import == "0"
+    assert codes == "[0, 0, 2, 0, 0]"
+    names = [f"'spinpoint {name}'" for name in ("check", "scatter", "device", "bands")]
+    assert built == f"['spinpoint', {', '.join(names)}]"
 
 
 def test_fresh_import_loads_no_scipy():
