@@ -37,7 +37,8 @@ import numpy as np
 from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_grid
 from .device import total_transfer
 from .errors import FitWindowError, ParameterDomainError
-from .extensions import DefectKind, check_positive, check_real, check_tolerance, x4_defect
+from .extensions import DefectKind, Tolerances, check_positive, check_real, check_tolerance
+from .extensions import x4_defect
 from .scattering import _half_sum, check_finite, check_momenta, free_channels
 
 __all__ = [
@@ -262,7 +263,7 @@ def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
     return lam.reshape(n, 4), vecs.transpose(0, 2, 1, 3).reshape(n, 4, 4), jordan.any(axis=1)
 
 
-def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = 1e-8) -> BandDiagram:
+def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = Tolerances.bloch) -> BandDiagram:
     """Compute the band diagram of a comb over a sorted positive k grid.
 
     The cell transfer splits into two 2x2 spin channels, whose Bloch roots

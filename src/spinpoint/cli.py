@@ -31,7 +31,7 @@ from . import bands as _bands
 from . import device as _device
 from .device import Device, FreeSegment, SweepSpec
 from .errors import ConfigError, ParameterDomainError, SpinpointError
-from .extensions import PARAM_KEY, DefectKind, DefectSpec, check_positive, conserves_currents
+from .extensions import PARAM_KEY, DefectKind, DefectSpec, Tolerances, conserves_currents
 from .extensions import defect_matrix
 from .scattering import CHANNELS, channel_probabilities
 
@@ -48,21 +48,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 CSV_TAG = "# spinpoint-csv v1"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical gates of a run, each a finite number > 0 (ConfigError otherwise)."""
-
-    current: float = 1e-12  # conservation check of boundary matrices
-    transfer: float = 1e-10  # current and spin-swap gate on transfers
-    bloch: float = 1e-8  # |lambda| = 1 band membership
-
-    def __post_init__(self):
-        for f in fields(self):
-            name = f"key {f.name!r} in tolerances"
-            value = check_positive(getattr(self, f.name), name, ConfigError)
-            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError, ParameterDomainError
-from .extensions import DefectSpec, check_positive, check_real, defect_matrix
+from .extensions import DefectSpec, Tolerances, check_positive, check_real, defect_matrix
 from .extensions import r_flip_defect, x1_defect
 from .scattering import _K_MIN, ScatteringMatrix, channel_blocks, channel_matrix
 from .scattering import channel_scattering, check_conservation, check_finite, check_momenta
@@ -160,22 +160,19 @@ def check_k_grid(k_grid) -> np.ndarray:
     return ks
 
 
-def spectrum(device: Device, k_grid, *, conservation_tol: float = 1e-10) -> SpectrumTable:
+def spectrum(
+    device: Device, k_grid, *, conservation_tol: float = Tolerances.transfer
+) -> SpectrumTable:
     """Sweep a device's S-matrices over a k grid.
 
     Each defect's matrix is built once.  Free propagation conserves the current exactly, so
-    the gate (``conservation_tol``) checks each distinct defect once, in the order of first
-    occurrence, at the first momentum; the S stack ``smatrix`` is then
-    :func:`channel_scattering` of :func:`channel_transfer`.  A momentum whose S-matrix is
-    not finite gives a NaN row flagged ``singular`` instead of failing the whole sweep.
+    the gate (``conservation_tol``) checks the defects in element order at the first momentum;
+    ``smatrix`` is :func:`channel_scattering` of :func:`channel_transfer`, and a momentum
+    whose S-matrix is not finite gives a NaN row flagged ``singular``, not a failed sweep.
     """
     ks = check_k_grid(k_grid)
     matrices = _defect_matrices(device)
-    first = {}  # each distinct defect's first index in the stack, in element order
-    for i, el in enumerate(el for el in device.elements if isinstance(el, DefectSpec)):
-        first.setdefault(el, i)
-    gate = matrices[list(first.values())]
-    check_conservation(gate, np.full(len(gate), ks[0]), conservation_tol)
+    check_conservation(matrices, np.full(len(matrices), ks[0]), conservation_tol)
     s, singular = channel_scattering(_compose(device.elements, matrices, ks), ks)
     residual = ScatteringMatrix(matrix=s, k=ks).unitarity_residual()
     return SpectrumTable(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
 from numbers import Real
@@ -37,12 +37,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ConfigError, ParameterDomainError
 
 __all__ = [
     "DefectKind",
     "DefectSpec",
     "PARAM_KEY",
+    "Tolerances",
     "CurrentForm",
     "CurrentReport",
     "current_forms",
@@ -104,6 +105,21 @@ def check_tolerance(tol, name: str) -> float:
     if not tol > 0:
         raise ParameterDomainError(f"{name} must be > 0, got {tol}")
     return float(tol)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Numerical gates of a run, each a finite number > 0 (ConfigError otherwise)."""
+
+    current: float = 1e-12  # conservation check of boundary matrices
+    transfer: float = 1e-10  # current and spin-swap gate on transfers
+    bloch: float = 1e-8  # |lambda| = 1 band membership
+
+    def __post_init__(self):
+        for f in fields(self):
+            name = f"key {f.name!r} in tolerances"
+            value = check_positive(getattr(self, f.name), name, ConfigError)
+            object.__setattr__(self, f.name, value)
 
 
 #: Config key of the single parameter of each non-product kind.
@@ -332,7 +348,7 @@ def compose(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.matmul, mats)
 
 
-def conserves_currents(matrix: np.ndarray, tol: float = 1e-12) -> CurrentReport:
+def conserves_currents(matrix: np.ndarray, tol: float = Tolerances.current) -> CurrentReport:
     """Check current conservation M^dag F_i M = F_i for i = x, y, z.
 
     The residual for each component is the max-abs entry of

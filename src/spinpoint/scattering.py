@@ -35,7 +35,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidTransferError, ParameterDomainError, SpectralSingularityError
-from .extensions import check_positive, check_real, check_tolerance, current_forms, current_residual
+from .extensions import Tolerances, check_positive, check_real, check_tolerance, current_forms
+from .extensions import current_residual
 
 __all__ = [
     "CHANNELS",
@@ -240,7 +241,7 @@ def check_conservation(transfers: np.ndarray, ks: np.ndarray, tol: float) -> Non
 
 
 def transfer_to_scattering(
-    transfer: np.ndarray, k: float, *, conservation_tol: float = 1e-10
+    transfer: np.ndarray, k: float, *, conservation_tol: float = Tolerances.transfer
 ) -> ScatteringMatrix:
     """Convert one 4x4 boundary transfer at momentum ``k`` > 0 into an S-matrix.
 

@@ -1,11 +1,13 @@
 """Config parsing, CSV output, determinism, and the console entry point."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +23,17 @@ from spinpoint import (
     Device,
     FreeSegment,
     PeriodicComb,
+    conserves_currents,
+    default_k_grid,
+    dispersion,
     flux_defect,
     mass_jump_defect,
     product_defect,
     r_flip_defect,
     rtilde_flip_defect,
     sound_slope,
+    spectrum,
+    transfer_to_scattering,
     x1_defect,
     x4_defect,
 )
@@ -40,6 +47,7 @@ from spinpoint.cli import (
     run,
     serialize_config,
 )
+import spinpoint.extensions as extensions_mod
 
 from matching_oracle import smatrix_by_matching
 
@@ -65,6 +73,25 @@ def test_parse_minimal_scatter_config_fills_defaults():
     assert config.sweep == SweepSpec(0.1, 10.0, 100, "log")
     assert config.tolerances == Tolerances()
     assert config.incident is None
+
+
+def test_library_defaults_are_the_config_defaults():
+    # a library call and a config without the section gate and sweep alike
+    assert Tolerances is extensions_mod.Tolerances
+    gates = [
+        (conserves_currents, "tol", "current"),
+        (transfer_to_scattering, "conservation_tol", "transfer"),
+        (spectrum, "conservation_tol", "transfer"),
+        (dispersion, "bloch_tol", "bloch"),
+    ]
+    for function, keyword, field in gates:
+        default = inspect.signature(function).parameters[keyword].default
+        assert default == getattr(Tolerances(), field), function.__name__
+    grid_defaults = {
+        name: p.default for name, p in inspect.signature(default_k_grid).parameters.items()
+    }
+    assert grid_defaults == asdict(SweepSpec())
+    assert default_k_grid().tobytes() == SweepSpec().grid().tobytes()
 
 
 def test_unknown_top_level_key_rejected():

@@ -409,7 +409,7 @@ def test_spectrum_flags_singular_rows(monkeypatch):
 
 def test_spectrum_gates_each_distinct_defect_in_element_order(monkeypatch):
     # two products whose current residuals are round-off of different sizes, so the gate
-    # message names the first of them in element order; equal specs are one distinct defect
+    # message names the first of them in element order; a repeat of a defect fails after it
     p1 = product_defect((x1_defect(0.3), x4_defect(0.7)))
     p2 = product_defect((mass_jump_defect(1.3), r_flip_defect(0.7)))
     dev = Device(
@@ -431,6 +431,44 @@ def test_spectrum_gates_each_distinct_defect_in_element_order(monkeypatch):
     built.clear()
     table = spectrum(dev, [0.5, 1.0])
     assert built == defects and not table.singular.any()
+
+
+# stand-ins for transfers that no defect kind builds: an x1 jump on spin up alone fails only
+# the spin-swap rule, a rescaled boundary vector the current rule
+ONE_SPIN_JUMP = np.eye(4)
+ONE_SPIN_JUMP[1, 0] = 2.0
+STAND_INS = {x1_defect(123.0): ONE_SPIN_JUMP, x4_defect(123.0): np.diag([1.5, 1.0, 1.5, 1.0])}
+
+
+def stand_in_matrix(spec):
+    return STAND_INS[spec] if spec in STAND_INS else defect_matrix(spec)
+
+
+@given(
+    defects=st.lists(st.sampled_from(ONE_DEFECT_SPECS + list(STAND_INS)), min_size=1, max_size=8),
+    gaps=st.lists(st.floats(min_value=0.05, max_value=2.0), min_size=7, max_size=7),
+    tol=st.sampled_from([1e-300, 1e-10, math.inf]),
+)
+@settings(max_examples=200, deadline=None)
+def test_spectrum_gate_agrees_with_each_defects_own_gate(defects, gaps, tol):
+    # the sweep raises exactly when some defect's own gate does: with the message of the
+    # first defect in element order that fails the current rule, else of the first that
+    # fails the spin-swap rule
+    elements = [defects[0]]
+    for defect, gap in zip(defects[1:], gaps):
+        elements += [FreeSegment(gap), defect]
+    own = (stand_in_matrix(el) for el in defects)
+    gates = [outcome(lambda: transfer_to_scattering(m, 0.5, conservation_tol=tol)) for m in own]
+    messages = [m for m in gates if isinstance(m, str)]
+    current = [m for m in messages if "longitudinal current" in m]
+    expected = (current or messages or [None])[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device_mod, "defect_matrix", stand_in_matrix)
+        if expected is None:
+            spectrum(Device(elements), [0.5, 1.0], conservation_tol=tol)
+        else:
+            with pytest.raises(InvalidTransferError, match=f"^{re.escape(expected)}$"):
+                spectrum(Device(elements), [0.5, 1.0], conservation_tol=tol)
 
 
 def test_spectrum_smatrix_is_nan_exactly_on_singular_rows():
