@@ -30,7 +30,7 @@ from .device import (
     Device,
     FreeSegment,
     SpectrumTable,
-    default_k_grid,
+    SweepSpec,
     preset_filter,
     preset_resonator,
     spectrum,

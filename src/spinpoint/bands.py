@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import _MAX_POINTS, Device, FreeSegment, channel_transfer, check_k_grid
-from .device import total_transfer
+from .device import Device, FreeSegment, channel_transfer, total_transfer
 from .errors import FitWindowError, ParameterDomainError
 from .extensions import DefectKind, Tolerances, check_positive, check_real, check_tolerance
 from .extensions import x4_defect
-from .scattering import _half_sum, check_finite, check_momenta, free_channels
+from .scattering import _MAX_POINTS, _half_sum, check_finite, check_k_grid, check_momenta
+from .scattering import free_channels
 
 __all__ = [
     "PeriodicComb",

@@ -10,9 +10,9 @@ import numpy as np
 from .errors import ConfigError, ParameterDomainError
 from .extensions import DefectSpec, Tolerances, check_positive, check_real, defect_matrix
 from .extensions import r_flip_defect, x1_defect
-from .scattering import _K_MIN, ScatteringMatrix, channel_blocks, channel_matrix
-from .scattering import channel_scattering, check_conservation, check_finite, check_momenta
-from .scattering import free_channels
+from .scattering import _K_MAX, _K_MIN, _MAX_POINTS, ScatteringMatrix, channel_blocks
+from .scattering import channel_matrix, channel_scattering, check_conservation, check_finite
+from .scattering import check_k_grid, check_momenta, free_channels
 
 __all__ = [
     "FreeSegment",
@@ -24,11 +24,7 @@ __all__ = [
     "preset_resonator",
     "preset_filter",
     "SweepSpec",
-    "default_k_grid",
 ]
-
-_MAX_POINTS = np.iinfo(np.intp).max // 8  # longest float64 k grid numpy can size
-_K_MAX = float(np.sqrt(np.finfo(float).max))  # largest momentum whose energy k^2 is finite
 
 
 @dataclass(frozen=True)
@@ -143,23 +139,6 @@ def total_transfer(device: Device, k) -> np.ndarray:
     return channel_matrix(channel_transfer(device, k))
 
 
-def check_k_grid(k_grid) -> np.ndarray:
-    """Validate a momentum grid: non-empty, 1d and sorted ascending, each momentum one that
-    :func:`check_momenta` takes and whose energy k^2 is finite (k <= sqrt of the float max).
-    """
-    ks = check_momenta(k_grid)
-    if ks.ndim != 1 or len(ks) == 0:
-        raise ParameterDomainError("k grid must be a non-empty 1d array")
-    if np.any(high := ks > _K_MAX):
-        bad = float(ks[high][0])
-        raise ParameterDomainError(
-            f"momentum must be <= {_K_MAX!r}, beyond which k^2 overflows, got {bad!r}"
-        )
-    if np.any(np.diff(ks) < 0):
-        raise ParameterDomainError("k grid must be sorted ascending")
-    return ks
-
-
 def spectrum(
     device: Device, k_grid, *, conservation_tol: float = Tolerances.transfer
 ) -> SpectrumTable:
@@ -239,13 +218,3 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         space = np.geomspace if self.spacing == "log" else np.linspace
         return space(self.k_min, self.k_max, self.points)
-
-
-def default_k_grid(
-    k_min: float = 0.01, k_max: float = 20.0, points: int = 1000, spacing: str = "log"
-) -> np.ndarray:
-    """Grid of ``SweepSpec(k_min, k_max, points, spacing)``; bad arguments raise ConfigError.
-
-    The default is 1000 log-spaced momenta in [0.01, 20].
-    """
-    return SweepSpec(k_min, k_max, points, spacing).grid()

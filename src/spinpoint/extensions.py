@@ -323,16 +323,15 @@ def defect_matrix(spec: DefectSpec) -> np.ndarray:
     return compose([defect_matrix(f) for f in spec.factors])  # PRODUCT, the last kind
 
 
-def _boundary_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a complex 4x4 array; ParameterDomainError unless it is a numeric 4x4."""
+def _boundary_matrix(matrix, name: str = "boundary matrix", *, stack: bool = False) -> np.ndarray:
+    """``matrix`` as a complex 4x4 array, or (..., 4, 4) if ``stack``; else ParameterDomainError."""
     try:
         m = np.asarray(matrix, dtype=complex)
     except (TypeError, ValueError):
-        raise ParameterDomainError(
-            f"boundary matrix must be a numeric array, got {matrix!r}"
-        ) from None
-    if m.shape != (4, 4):
-        raise ParameterDomainError(f"boundary matrix must be 4x4, got shape {m.shape}")
+        raise ParameterDomainError(f"{name} must be a numeric array, got {matrix!r}") from None
+    if m.shape[-2:] != (4, 4) or m.ndim > 2 and not stack:
+        rule = "a (..., 4, 4) stack" if stack else "4x4"
+        raise ParameterDomainError(f"{name} must be {rule}, got shape {m.shape}")
     return m
 
 

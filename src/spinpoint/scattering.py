@@ -28,6 +28,7 @@ Every interaction commutes with the spin swap, so in the basis
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from dataclasses import dataclass
 from numbers import Integral
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidTransferError, ParameterDomainError, SpectralSingularityError
 from .extensions import Tolerances, check_positive, check_real, check_tolerance, current_forms
-from .extensions import current_residual
+from .extensions import _boundary_matrix, current_residual
 
 __all__ = [
     "CHANNELS",
@@ -66,6 +67,8 @@ CLOSED_FORM_PERMUTATION = (0, 2, 1, 3)
 
 _FORM_X = current_forms()[0].matrix
 _K_MIN = sys.float_info.min  # smallest momentum: dividing by a subnormal k overflows
+_K_MAX = float(np.sqrt(np.finfo(float).max))  # largest momentum whose energy k^2 is finite
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # longest float64 k grid numpy can size
 
 
 def channel_index(channel: int | str) -> int:
@@ -109,10 +112,20 @@ def momentum_from_energy(energy: float) -> float:
 
 
 def check_momenta(k) -> np.ndarray:
-    """One momentum or an array of momenta as floats; raises at the first one that is not
+    """One momentum or an array of momenta as floats; raises unless each is an int or a float
+    (a string, None, a complex value or a bool is not), then at the first one that is not
     finite or is below the smallest normal float (dividing by a subnormal k overflows).
     """
-    ks = np.asarray(k, dtype=float)
+    try:
+        ks = np.asarray(k)
+    except ValueError:  # a ragged sequence, named by its value below
+        ks = np.empty((), dtype=object)
+    if ks.dtype == object and all(type(v) is int and abs(v) <= sys.float_info.max for v in ks.flat):
+        ks = ks.astype(float)  # Python ints beyond the int64 range
+    if ks.dtype.kind not in "iuf":
+        got = reprlib.repr(k) if ks.ndim == 0 else f"an array of dtype {ks.dtype}"
+        raise ParameterDomainError(f"momentum must be a real number, got {got}")
+    ks = ks.astype(float, copy=False)
     if not np.all(good := np.isfinite(ks) & (ks >= _K_MIN)):
         bad = float(ks[~good][0])
         if not np.isfinite(bad):
@@ -120,6 +133,23 @@ def check_momenta(k) -> np.ndarray:
         else:
             rule = "> 0" if bad <= 0 else f">= {_K_MIN!r}, the smallest normal float"
         raise ParameterDomainError(f"momentum must be {rule}, got {bad!r}")
+    return ks
+
+
+def check_k_grid(k_grid) -> np.ndarray:
+    """Validate a momentum grid: non-empty, 1d and sorted ascending, each momentum one that
+    :func:`check_momenta` takes and whose energy k^2 is finite (k <= sqrt of the float max).
+    """
+    ks = check_momenta(k_grid)
+    if ks.ndim != 1 or len(ks) == 0:
+        raise ParameterDomainError("k grid must be a non-empty 1d array")
+    if np.any(high := ks > _K_MAX):
+        bad = float(ks[high][0])
+        raise ParameterDomainError(
+            f"momentum must be <= {_K_MAX!r}, beyond which k^2 overflows, got {bad!r}"
+        )
+    if np.any(np.diff(ks) < 0):
+        raise ParameterDomainError("k grid must be sorted ascending")
     return ks
 
 
@@ -251,17 +281,17 @@ def transfer_to_scattering(
     gives the S-matrix in grouped channel order, and one that is not finite
     raises :class:`SpectralSingularityError`.
     """
-    ks = check_momenta([k])
-    t = np.asarray(transfer, dtype=complex)
-    if ks.shape != (1,) or t.shape != (4, 4):
+    ks, shape = check_momenta(k), np.shape(transfer)
+    if ks.ndim or shape != (4, 4):
         raise ParameterDomainError(
-            f"need one 4x4 transfer and one momentum, got shapes {t.shape} and {np.shape(k)}"
+            f"need one 4x4 transfer and one momentum, got shapes {shape} and {ks.shape}"
         )
-    check_conservation(t[None], ks, conservation_tol)
-    s, singular = channel_scattering(channel_blocks(t[None]), ks)
+    t, ks = _boundary_matrix(transfer)[None], ks[None]
+    check_conservation(t, ks, conservation_tol)
+    s, singular = channel_scattering(channel_blocks(t), ks)
     if singular[0]:
-        raise SpectralSingularityError(k)
-    return ScatteringMatrix(matrix=s[0], k=float(k))
+        raise SpectralSingularityError(ks[0])
+    return ScatteringMatrix(matrix=s[0], k=float(ks[0]))
 
 
 def closed_form_flip_smatrix(k: float, r: float) -> np.ndarray:
@@ -317,7 +347,7 @@ def channel_probabilities(s, incident: int | str) -> np.ndarray:
     Squared moduli of the S-matrix column of the incident channel; the
     four entries follow the grouped channel order and sum to 1 for a
     unitary S.  A stack of S-matrices gives one row of four per matrix.
+    ``s`` is a :class:`ScatteringMatrix` or a numeric (..., 4, 4) array.
     """
-    matrix = s.matrix if isinstance(s, ScatteringMatrix) else np.asarray(s, dtype=complex)
-    idx = channel_index(incident)
-    return np.abs(matrix[..., :, idx]) ** 2
+    m = _boundary_matrix(s.matrix if isinstance(s, ScatteringMatrix) else s, "S-matrix", stack=True)
+    return np.abs(m[..., :, channel_index(incident)]) ** 2

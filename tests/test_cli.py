@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from spinpoint import (
     FreeSegment,
     PeriodicComb,
     conserves_currents,
-    default_k_grid,
     dispersion,
     flux_defect,
     mass_jump_defect,
@@ -76,7 +74,7 @@ def test_parse_minimal_scatter_config_fills_defaults():
 
 
 def test_library_defaults_are_the_config_defaults():
-    # a library call and a config without the section gate and sweep alike
+    # a library call and a config without the section gate alike
     assert Tolerances is extensions_mod.Tolerances
     gates = [
         (conserves_currents, "tol", "current"),
@@ -87,11 +85,6 @@ def test_library_defaults_are_the_config_defaults():
     for function, keyword, field in gates:
         default = inspect.signature(function).parameters[keyword].default
         assert default == getattr(Tolerances(), field), function.__name__
-    grid_defaults = {
-        name: p.default for name, p in inspect.signature(default_k_grid).parameters.items()
-    }
-    assert grid_defaults == asdict(SweepSpec())
-    assert default_k_grid().tobytes() == SweepSpec().grid().tobytes()
 
 
 def test_unknown_top_level_key_rejected():
@@ -225,9 +218,25 @@ def test_run_rejects_config_without_its_section():
             lambda: SweepSpec(k_max=1e200),
             r"^key 'k_max' in sweep must be <= 1\.3407807929942596e\+154, beyond which k\^2",
         ),
+        (lambda: SweepSpec(2, 1), "^key 'k_min' must be < 'k_max' in sweep$"),
         (
             lambda: RunConfig("device", device=Device(()), incident="bogus"),
             "^key 'incident' must be one of .*, got 'bogus'$",
+        ),
+        # the config reader's own shape rules, before any record is built
+        (lambda: parse_config("[]"), "^config must be an object, got list$"),
+        (lambda: parse_config(make_config()), "^missing required key 'command' in config$"),
+        (
+            lambda: parse_config(make_config(command="check", defect=5)),
+            "^defect must be an object, got int$",
+        ),
+        (
+            lambda: parse_config(make_config(command="check", defect={"kind": "x1"})),
+            "^missing required key 'x1' in defect$",
+        ),
+        (
+            lambda: parse_config(make_config(command="device", device={"elements": 5})),
+            "^key 'elements' in device must be a list$",
         ),
     ],
     ids=[
@@ -237,7 +246,13 @@ def test_run_rejects_config_without_its_section():
         "k_max_infinite",
         "k_min_subnormal",
         "k_max_energy_overflow",
+        "k_min_not_below_k_max",
         "incident",
+        "config_list",
+        "config_without_command",
+        "defect_int",
+        "defect_without_parameter",
+        "elements_int",
     ],
 )
 def test_hand_built_records_check_themselves(build, message):

@@ -21,8 +21,8 @@ from spinpoint import (
     PeriodicComb,
     ScatteringMatrix,
     SpectralSingularityError,
+    SweepSpec,
     channel_probabilities,
-    default_k_grid,
     defect_matrix,
     dispersion,
     flux_defect,
@@ -598,9 +598,9 @@ def test_spectrum_grid_validation(sweep):
 
 
 def test_default_k_grid_checks_its_sweep():
-    assert np.array_equal(default_k_grid(0.5, 2.0, 4, "linear"), np.linspace(0.5, 2.0, 4))
+    assert np.array_equal(SweepSpec(0.5, 2.0, 4, "linear").grid(), np.linspace(0.5, 2.0, 4))
     with pytest.raises(ConfigError, match="^key 'k_max' in sweep must be a finite number$"):
-        default_k_grid(0.01, float("inf"), 5)
+        SweepSpec(0.01, float("inf"), 5)
 
 
 def test_preset_resonator_structure():

@@ -14,6 +14,7 @@ from spinpoint import (
     DefectKind,
     DefectSpec,
     ParameterDomainError,
+    channel_probabilities,
     compose,
     conserves_currents,
     current_forms,
@@ -26,6 +27,7 @@ from spinpoint import (
     product_defect,
     r_flip_defect,
     rtilde_flip_defect,
+    transfer_to_scattering,
     x1_defect,
     x2_from_mu,
     x3_from_phi,
@@ -140,8 +142,38 @@ def test_compose_of_nothing_is_a_parameter_domain_error():
             np.ones((1, 3)),
             "boundary matrix must be 4x4, got shape (1, 3)",
         ),
+        # the transfer's shape is checked first, then the conversion
+        (
+            lambda m: transfer_to_scattering(m, 1.0),
+            "abc",
+            "need one 4x4 transfer and one momentum, got shapes () and ()",
+        ),
+        (
+            lambda m: transfer_to_scattering(m, 1.0),
+            [["x"] * 4] * 4,
+            f"boundary matrix must be a numeric array, got {[['x'] * 4] * 4!r}",
+        ),
+        # an S-matrix may be a stack
+        (
+            lambda m: channel_probabilities(m, "left_up"),
+            "abc",
+            "S-matrix must be a numeric array, got 'abc'",
+        ),
+        (
+            lambda m: channel_probabilities(m, 0),
+            np.ones(4),
+            "S-matrix must be a (..., 4, 4) stack, got shape (4,)",
+        ),
     ],
-    ids=["compose_of_a_string", "conserves_a_string", "compose_of_a_1x3"],
+    ids=[
+        "compose_of_a_string",
+        "conserves_a_string",
+        "compose_of_a_1x3",
+        "transfer_a_string",
+        "transfer_of_strings",
+        "probabilities_of_a_string",
+        "probabilities_of_a_vector",
+    ],
 )
 def test_boundary_matrices_must_be_numeric_4x4(check, matrix, message):
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):

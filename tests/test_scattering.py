@@ -1,6 +1,7 @@
 """Scattering matrices: propagation, spin channels, closed form, probabilities."""
 
 import math
+import pickle
 import re
 import sys
 
@@ -18,6 +19,7 @@ from spinpoint import (
     PeriodicComb,
     ScatteringMatrix,
     SpectralSingularityError,
+    cell_transfer,
     channel_index,
     channel_probabilities,
     closed_form_flip_smatrix,
@@ -31,12 +33,16 @@ from spinpoint import (
     propagation,
     r_flip_defect,
     rtilde_flip_defect,
+    scalar_cell_transfer,
+    scalar_dispersion,
+    scalar_kp_relation,
     spectrum,
     total_transfer,
     transfer_to_scattering,
     x1_defect,
     x4_defect,
 )
+from spinpoint.device import channel_transfer
 from spinpoint.scattering import channel_blocks, channel_matrix, channel_scattering
 from spinpoint.scattering import check_conservation, free_channels
 
@@ -81,14 +87,22 @@ def test_propagation_domain_errors():
         total_transfer(Device((x1_defect(1.0),)), ks)
     # an infinite or NaN momentum is named as such on every route
     resonator = Device((x1_defect(1.0), FreeSegment(1.0), x1_defect(1.0)))
+    comb = PeriodicComb(Device((x4_defect(0.5),)), 1.0)
     routes = [
         lambda ks: propagation(ks, 1.0),
         lambda ks: total_transfer(resonator, ks),
+        lambda ks: channel_transfer(resonator, ks),
         lambda ks: spectrum(resonator, ks),
         lambda ks: spectrum(Device((x1_defect(1.0),)), ks),
         lambda ks: spectrum(Device((FreeSegment(1.0),)), ks),
-        lambda ks: dispersion(PeriodicComb(Device((x4_defect(0.5),)), 1.0), ks),
-        lambda ks: transfer_to_scattering(np.eye(4), ks[-1]),
+        lambda ks: dispersion(comb, ks),
+        lambda ks: cell_transfer(comb, ks),
+        lambda ks: scalar_cell_transfer(comb, ks),
+        lambda ks: scalar_dispersion(comb, ks),
+        lambda ks: scalar_kp_relation(0.5, 1.0, ks),
+        lambda ks: closed_form_flip_smatrix(ks, 0.5),
+        # the momentum rules come before the one-momentum shape rule
+        lambda ks: transfer_to_scattering(np.eye(4), ks),
     ]
     for bad in (math.inf, -math.inf, math.nan):
         message = f"^momentum must be a finite number, got {bad!r}$"
@@ -100,6 +114,27 @@ def test_propagation_domain_errors():
     for route in routes:
         with pytest.raises(ParameterDomainError, match=message):
             route(np.array([1.0, 1e-310]))
+    # a momentum is an int or a float, or an array of them
+    not_real = ("abc", None, [1.0, "a"], [1.0, [2.0]], 1 + 1j, np.array([1 + 1j]), True, 10**400)
+    for bad in not_real:
+        for route in routes:
+            with pytest.raises(ParameterDomainError, match="^momentum must be a real number"):
+                route(bad)
+    # ints (Python ints beyond int64 too) and float32 give the bits of the float64 momenta
+    # they equal; a result's pickle holds every array in it
+    same = [
+        ([1.0, 2.0, 3.0], ([1, 2, 3], np.arange(1, 4), np.array([1, 2, 3], dtype=np.float32))),
+        ([1.0, 2.0, 3e20], ([1, 2, 3 * 10**20],)),
+    ]
+    for route in routes[:-1]:  # each takes a grid of momenta
+        for grid, equals in same:
+            expected = pickle.dumps(route(np.array(grid)))
+            for ks in equals:
+                assert pickle.dumps(route(ks)) == expected
+    one_k = defect_matrix(x1_defect(1.0))
+    expected = pickle.dumps(transfer_to_scattering(one_k, 2.0))
+    for k in (2, np.int64(2), np.float32(2.0)):
+        assert pickle.dumps(transfer_to_scattering(one_k, k)) == expected
 
 
 def test_propagation_blocks_are_the_free_channel_entries_up_to_the_largest_momentum():
