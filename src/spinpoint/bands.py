@@ -9,10 +9,11 @@ q = |arg lambda| / a in [0, pi/a] and the energy is E = k^2.
 
 Every interaction commutes with the spin swap, so the cell transfer splits
 into two 2x2 spin channels, and :func:`dispersion` takes each channel's
-two Bloch roots and eigenvectors in closed form from its trace and
-determinant.  A channel block whose two roots coincide while it is not a
-multiple of the identity is a Jordan block (one eigenvector); those
-momenta are reported in ``BandDiagram.flagged_k``.
+two Bloch roots in closed form from its trace and determinant, and an
+eigenvector (a 2-vector in its channel) only for each kept point; points
+in different channels are orthogonal.  A channel block whose two roots
+coincide while it is not a multiple of the identity is a Jordan block (one
+eigenvector); those momenta are reported in ``BandDiagram.flagged_k``.
 
 Combs built purely from spin-flip defects of the derivative-coupling type
 block-diagonalize in the rotated spin basis (up +- down)/sqrt(2) into two
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -130,7 +132,7 @@ def cell_transfer(comb: PeriodicComb, k) -> np.ndarray:
 
 
 def _collapse_pairs(q, upper, propagating, period):
-    """Kept eigen-columns per momentum: an (n, 4) slot table and the point count.
+    """Kept roots in (k, q) order, as momentum index and column each, and their count per k.
 
     Propagating columns are visited in ascending q (a stable sort, so equal
     q keep column order).  A point within 1e-9 * max(1, pi/a) of the kept
@@ -153,7 +155,7 @@ def _collapse_pairs(q, upper, propagating, period):
         new = live & ~merge
         slot[new, m[new]] = j[new]
         m += new
-    return slot, m
+    return np.repeat(rows, m), slot[np.arange(4) < m[:, None]], m
 
 
 def _injective_maps(points: int, active: int) -> np.ndarray:
@@ -166,36 +168,41 @@ def _injective_maps(points: int, active: int) -> np.ndarray:
     return np.array(maps, dtype=int)
 
 
-def _link_points(q, vecs, slot, m, period):
-    """Predecessor slot of each kept point at the previous momentum, or -1.
+def _length(*parts):
+    """Length of the complex vector ``parts`` by hypot (numpy's SIMD abs varies with length)."""
+    return reduce(np.hypot, [np.hypot(z.real, z.imag) for z in parts])
 
+
+def _link_points(q, vecs, channel, m, period):
+    """Flat index of each point's predecessor at the previous momentum, or its own if none.
+
+    The points come flat in (k, q) order, ``m[i]`` at momentum i, each with
+    its q, spin ``channel`` and unit eigenvector (a 2-vector in ``vecs``).
     The assignment minimizes total |dq| (``gate`` for a point that opens a
     branch, and no link may jump by more than ``gate``) minus a small
-    eigenvector-overlap bonus, so that branch crossings in q are resolved
-    by the orthogonality of the two spin channels.  It depends only on the
-    points at two consecutive momenta, so the steps are grouped by their
-    point counts and every injective map is scored for a whole group at
-    once.  Maps scoring within ``tie`` of the best are tied (round-off
-    alone separates them, e.g. two points that both change channel), and
-    the first of them in product order wins.
+    overlap bonus |v^H w| within a channel; points in different channels
+    are orthogonal.  It depends only on the points at two consecutive
+    momenta, so the steps are grouped by their point counts and every
+    injective map is scored for a whole group at once.  Maps scoring within
+    ``tie`` of the best are tied (round-off alone separates them, e.g. two
+    points that both change channel), and the first in product order wins.
     """
-    n = len(q)
-    link = np.full((n, 4), -1)
-    qs = np.take_along_axis(q, slot, axis=1)
-    # |V[i-1]^H V[i]|: matmul gives the per-pair np.vdot sums bit for bit (pinned
-    # by tests/test_bands.py), and hypot the modulus, as for |lambda|
-    product = np.swapaxes(vecs[:-1].conj(), -1, -2) @ vecs[1:]
-    overlap = np.hypot(product.real, product.imag)
+    first = np.cumsum(m) - m
+    link = np.arange(len(q))
     gate = 0.25 * math.pi / period
     bonus = 1e-3 * (math.pi / period)
     tie = 1e-9 * (math.pi / period)
-    steps = np.arange(1, n)
-    for points, active in set(zip(m[1:].tolist(), m[:-1].tolist())):
+    pair = 5 * m[1:] + m[:-1]  # a step's point counts, now and before (each at most 4)
+    for points, active in (divmod(group, 5) for group in np.unique(pair).tolist()):
         if not points or not active:
             continue
-        i = steps[(m[1:] == points) & (m[:-1] == active)]
-        dq = np.abs(qs[i, :points, None] - qs[i - 1, None, :active])
-        ov = overlap[(i - 1)[:, None, None], slot[i - 1, None, :active], slot[i, :points, None]]
+        i = np.flatnonzero(pair == 5 * points + active) + 1
+        # flat indices (step, point, active) of the points now and before
+        now = first[i, None, None] + np.arange(points)[:, None]
+        before = first[i - 1, None, None] + np.arange(active)
+        dq = np.abs(q[now] - q[before])
+        dot = (vecs[before].conj() * vecs[now]).sum(axis=-1)
+        ov = np.where(channel[now] == channel[before], _length(dot), 0.0)
         maps = _injective_maps(points, active)
         total_dq = np.zeros((len(i), len(maps)))
         total_ov = np.zeros((len(i), len(maps)))
@@ -208,7 +215,8 @@ def _link_points(q, vecs, slot, m, period):
             total_ov += np.where(matched, ov[:, p, c], 0.0)
         score = np.where(feasible, total_dq - bonus * total_ov, np.inf)
         tied = score <= score.min(axis=1, keepdims=True) + tie
-        link[i, :points] = maps[np.argmax(tied, axis=1)]
+        best = maps[np.argmax(tied, axis=1)]
+        link[now[..., 0]] = np.where(best >= 0, first[i - 1, None] + best, now[..., 0])
     return link
 
 
@@ -221,21 +229,20 @@ _JORDAN_TOL = 8 * math.sqrt(np.finfo(float).eps)
 
 
 def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
-    """Bloch roots (n, 4) and unit eigenvectors (n, 4, 4) of the cell transfer, and Jordan flags.
+    """Bloch roots (n, 4), channel blocks (4, n, 2) and Jordan flags of the cell transfer.
 
-    Each 2x2 channel block [[a, b], [c, d]] of the period transfer has the
-    roots tr/2 +- sqrt(tr^2/4 - det); the larger one is taken first and the
-    smaller as det over it, so that an evanescent root keeps its digits.
-    An eigenvector is (b, lambda - a) or (lambda - d, c), whichever is
-    longer (e1 and e2 where that is zero or not finite), lifted to the four
-    spin components as (v, +-v)/sqrt(2).  Columns run (+ larger, + smaller,
-    - larger, - smaller).  A channel is a Jordan block (flagged) where its
-    two roots coincide within ``_JORDAN_TOL`` of the block's largest entry
-    while the block is not that close to a multiple of the identity; its
-    double root is then tr/2.
+    Each 2x2 channel block [[a, b], [c, d]] (``blocks[:, k, channel]``) of
+    the period transfer has the roots tr/2 +- sqrt(tr^2/4 - det); the larger
+    one is taken first and the smaller as det over it, so that an evanescent
+    root keeps its digits.  Columns run (+ larger, + smaller, - larger,
+    - smaller).  A channel is a Jordan block (flagged) where its two roots
+    coincide within ``_JORDAN_TOL`` of the block's largest entry while the
+    block is not that close to a multiple of the identity; its double root
+    is then tr/2.
     """
-    (a, b), (c, d) = channel_transfer(_period_device(comb), ks)
-    scale = np.max(np.abs([a, b, c, d]), axis=0)
+    blocks = channel_transfer(_period_device(comb), ks).reshape(4, len(ks), 2)
+    a, b, c, d = blocks
+    scale = np.max(np.abs(blocks), axis=0)
     # entries beyond ~1e154 overflow the products below; det, of modulus ~1,
     # is then lost to round-off anyway, and the roots come out non-finite
     # (not propagating)
@@ -248,58 +255,52 @@ def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
         jordan = (np.abs(big - small) <= _JORDAN_TOL * scale) & (
             np.max(np.abs([0.5 * (a - d), b, c]), axis=0) > _JORDAN_TOL * scale
         )
-        # round-off splits a double root by ~sqrt(eps); tr/2 keeps it to ~eps
-        lam = np.stack([np.where(jordan, half, big), np.where(jordan, half, small)], axis=-1)
-        a, b, c, d = (x[..., None] for x in (a, b, c, d))
-        # lengths by hypot, which squares nothing
-        longer = np.hypot(np.abs(b), np.abs(lam - a)) >= np.hypot(np.abs(lam - d), np.abs(c))
-        v = np.stack([np.where(longer, b, lam - d), np.where(longer, lam - a, c)], axis=-2)
-        norm = np.hypot(np.abs(v[..., :1, :]), np.abs(v[..., 1:, :]))
-        usable = np.isfinite(norm) & (norm > 0)
-        v = np.where(usable, v / norm, np.eye(2))  # (n, channel, component, root)
-    # (v, v) in the + channel, (v, -v) in the - channel
-    vecs = np.concatenate([v, v * np.array([1, -1])[:, None, None]], axis=-2) / math.sqrt(2)
-    n = len(ks)
-    return lam.reshape(n, 4), vecs.transpose(0, 2, 1, 3).reshape(n, 4, 4), jordan.any(axis=1)
+    # round-off splits a double root by ~sqrt(eps); tr/2 keeps it to ~eps
+    lam = np.stack([np.where(jordan, half, big), np.where(jordan, half, small)], axis=-1)
+    return lam.reshape(len(ks), 4), blocks, jordan.any(axis=1)
 
 
 def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = Tolerances.bloch) -> BandDiagram:
     """Compute the band diagram of a comb over a sorted positive k grid.
 
     The cell transfer splits into two 2x2 spin channels, whose Bloch roots
-    and eigenvectors are computed in closed form over the whole grid
-    (:func:`_channel_roots`); roots with ||lambda| - 1| < ``bloch_tol`` are
-    propagating and contribute a point (q = |arg lambda|/a, E = k^2).
-    Conjugate pairs are collapsed to a single point (the root with
-    Im lambda >= 0), and points are stitched into branches by
-    nearest-neighbour continuity in q with an eigenvector-overlap bonus;
-    every step of the grid is matched in one batched search over the
-    injective assignments, and of assignments scoring within 1e-9 * pi/a
-    of the best the first in ``itertools.product`` order wins.  A linked
-    point keeps its predecessor's branch id; every other point opens the
-    next id in (k, q) order.  Momenta where a channel block is a Jordan
-    block (its two roots coincide but it is not a multiple of the
-    identity, so it has one eigenvector) are reported in ``flagged_k``.
-    Raises :class:`InvalidTransferError` at the first momentum whose cell
-    transfer overflowed.  ``bloch_tol`` must be > 0.
+    are computed in closed form over the whole grid (:func:`_channel_roots`);
+    roots with ||lambda| - 1| < ``bloch_tol`` are propagating and contribute
+    a point (q = |arg lambda|/a, E = k^2).  Conjugate pairs are collapsed to
+    a single point (the root with Im lambda >= 0), and only kept points get
+    an eigenvector, a 2-vector in its channel.  Points are stitched into
+    branches by nearest-neighbour continuity in q with an eigenvector-overlap
+    bonus within a spin channel; every step of the grid is matched in one
+    batched search over the injective assignments, and of assignments
+    scoring within 1e-9 * pi/a of the best the first in
+    ``itertools.product`` order wins.  A linked point keeps its
+    predecessor's branch id; every other point opens the next id in (k, q)
+    order.  Momenta where a channel block is a Jordan block (its two roots
+    coincide but it is not a multiple of the identity, so it has one
+    eigenvector) are reported in ``flagged_k``.  Raises
+    :class:`InvalidTransferError` at the first momentum whose cell transfer
+    overflowed.  ``bloch_tol`` must be > 0.
     """
     bloch_tol = check_tolerance(bloch_tol, "bloch_tol")
     ks = check_k_grid(k_grid)
-    a = comb.period
-    lam, vecs, jordan = _channel_roots(comb, ks)
-    # hypot, not np.abs: the SIMD complex abs of long arrays can differ by
-    # one ulp, and the residual decides which root of a pair is kept
-    residual = np.abs(np.hypot(lam.real, lam.imag) - 1.0)
-    q = np.abs(np.angle(lam)) / a
+    period = comb.period
+    lam, blocks, jordan = _channel_roots(comb, ks)
+    # the residual decides which root of a pair is kept
+    residual = np.abs(_length(lam) - 1.0)
+    q = np.abs(np.angle(lam)) / period
 
-    slot, m = _collapse_pairs(q, lam.imag >= 0, residual < bloch_tol, a)
-    link = _link_points(q, vecs, slot, m, a)
-    rows, slots = np.nonzero(np.arange(4) < m[:, None])
-    cols = slot[rows, slots]
-    # each point's flat index, and its predecessor's (itself where it opens a branch)
-    first = np.cumsum(m) - m
-    linked = link[rows, slots]
-    head = np.where(linked >= 0, first[rows - 1] + linked, np.arange(len(rows)))
+    rows, cols, m = _collapse_pairs(q, lam.imag >= 0, residual < bloch_tol, period)
+    channel, root = np.divmod(cols, 2)
+    # unit eigenvectors of the kept roots only: (b, lambda - a) or (lambda - d, c), whichever
+    # is longer (by hypot, which squares nothing), or e1/e2 (root 0/1) where that is 0 or not finite
+    (a, b, c, d), kept = blocks[:, rows, channel], lam[rows, cols]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first, second = np.array([[b, kept - a], [kept - d, c]])
+        length = _length(*first), _length(*second)
+        longer = length[0] >= length[1]
+        v, norm = np.where(longer, first, second).T, np.where(longer, *length)[:, None]
+        vecs = np.where(np.isfinite(norm) & (norm > 0), v / norm, np.eye(2)[root])
+    head = _link_points(q[rows, cols], vecs, channel, m, period)
     # pointer jumping: every point reaches the first point of its branch in
     # log2(branch length) rounds
     while not np.array_equal(jumped := head[head], head):
@@ -308,7 +309,7 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = Tolerances.bloc
 
     k = ks[rows]
     return BandDiagram(
-        period=a,
+        period=period,
         k=k,
         q=q[rows, cols],
         # libm pow, as the CSV v1 bytes were written; k * k differs by one ulp on some k

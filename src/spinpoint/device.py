@@ -8,8 +8,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError, ParameterDomainError
-from .extensions import DefectSpec, Tolerances, check_positive, check_real, defect_matrix
-from .extensions import r_flip_defect, x1_defect
+from .extensions import DefectSpec, Tolerances, check_items, check_positive, check_real
+from .extensions import defect_matrix, r_flip_defect, x1_defect
 from .scattering import _K_MAX, _K_MIN, _MAX_POINTS, ScatteringMatrix, channel_blocks
 from .scattering import channel_matrix, channel_scattering, check_conservation, check_finite
 from .scattering import check_k_grid, check_momenta, free_channels
@@ -47,7 +47,7 @@ class Device:
     elements: tuple[Element, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "elements", check_items(self.elements, "device elements"))
         for i, el in enumerate(self.elements):
             if not isinstance(el, (DefectSpec, FreeSegment)):
                 raise ParameterDomainError(

@@ -98,6 +98,15 @@ def check_positive(value, name: str, error: type[Exception] = ParameterDomainErr
     return value
 
 
+def check_items(items, name: str) -> tuple:
+    """``items`` as a tuple; ParameterDomainError unless it is iterable."""
+    try:
+        items = iter(items)
+    except TypeError:
+        raise ParameterDomainError(f"{name} must be iterable, got {type(items).__name__}") from None
+    return tuple(items)
+
+
 def check_tolerance(tol, name: str) -> float:
     """``tol`` as a float; ParameterDomainError unless it is a real number > 0 (``inf`` passes)."""
     if isinstance(tol, bool) or not isinstance(tol, Real):
@@ -165,7 +174,7 @@ class DefectSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DefectKind(self.kind))
-        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "factors", check_items(self.factors, "defect factors"))
         if self.kind is DefectKind.PRODUCT:
             if self.value is not None:
                 raise ParameterDomainError("product defect takes no value, only factors")
@@ -213,7 +222,7 @@ def rtilde_flip_defect(r_tilde: float) -> DefectSpec:
 
 def product_defect(factors: Iterable[DefectSpec]) -> DefectSpec:
     """Composite interaction; leftmost factor acts last."""
-    return DefectSpec(DefectKind.PRODUCT, factors=tuple(factors))
+    return DefectSpec(DefectKind.PRODUCT, factors=factors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,6 +122,9 @@ def check_momenta(k) -> np.ndarray:
         ks = np.empty((), dtype=object)
     if ks.dtype == object and all(type(v) is int and abs(v) <= sys.float_info.max for v in ks.flat):
         ks = ks.astype(float)  # Python ints beyond the int64 range
+    listed = isinstance(k, (list, tuple)) and ks.dtype.kind in "iuf"
+    if listed and not {bool, np.bool_}.isdisjoint(map(type, np.asarray(k, dtype=object).flat)):
+        ks = np.empty((), dtype=object)  # numpy reads a bool among numbers as a number
     if ks.dtype.kind not in "iuf":
         got = reprlib.repr(k) if ks.ndim == 0 else f"an array of dtype {ks.dtype}"
         raise ParameterDomainError(f"momentum must be a real number, got {got}")
@@ -281,7 +284,11 @@ def transfer_to_scattering(
     gives the S-matrix in grouped channel order, and one that is not finite
     raises :class:`SpectralSingularityError`.
     """
-    ks, shape = check_momenta(k), np.shape(transfer)
+    ks = check_momenta(k)
+    try:
+        shape = np.shape(transfer)
+    except ValueError:  # a ragged sequence, which the conversion rejects by name
+        shape = _boundary_matrix(transfer).shape
     if ks.ndim or shape != (4, 4):
         raise ParameterDomainError(
             f"need one 4x4 transfer and one momentum, got shapes {shape} and {ks.shape}"

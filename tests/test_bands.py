@@ -467,28 +467,35 @@ def test_batched_stitching_equals_per_k_stitching(comb, ks, check):
 
 
 @pytest.mark.parametrize(
-    "prev_q,cur_q,expected",
+    "prev_q,cur_q,cur_channel,expected",
     [
         # two points equally far from one predecessor with equal overlaps:
         # the first assignment in itertools.product order, (-1, 0), wins
-        ([1.0], [0.75, 1.25], [-1, 0]),
+        ([1.0], [0.75, 1.25], [0, 0], [-1, 0]),
         # a jump of exactly the gate may still link
-        ([0.0], [0.25 * math.pi], [0]),
+        ([0.0], [0.25 * math.pi], [0], [0]),
+        # equally far, but only the first point shares the predecessor's channel:
+        # the overlap bonus picks (0, -1) over the product order
+        ([1.0], [0.75, 1.25], [0, 1], [0, -1]),
     ],
-    ids=["tie", "gate"],
+    ids=["tie", "gate", "channel"],
 )
-def test_link_points_breaks_ties_as_the_per_k_search(prev_q, cur_q, expected):
-    vec = np.full(4, 0.5 + 0j)
-    q = np.zeros((2, 4))
-    q[0, : len(prev_q)] = prev_q
-    q[1, : len(cur_q)] = cur_q
-    vecs = np.broadcast_to(vec[:, None], (2, 4, 4))
-    slot = np.tile(np.arange(4), (2, 1))
-    link = _link_points(q, vecs, slot, np.array([len(prev_q), len(cur_q)]), 1.0)
-    assert link[0].tolist() == [-1] * 4
-    assert link[1, : len(cur_q)].tolist() == expected
-    active = [{"id": c, "q": qc, "vec": vec} for c, qc in enumerate(prev_q)]
-    points = [(qc, 0.0, vec, True) for qc in cur_q]
+def test_link_points_breaks_ties_as_the_per_k_search(prev_q, cur_q, cur_channel, expected):
+    vec = np.full(2, math.sqrt(0.5) + 0j)
+    q = np.array(prev_q + cur_q)
+    channel = np.array([0] * len(prev_q) + cur_channel)
+    vecs = np.broadcast_to(vec, (len(q), 2))
+    link = _link_points(q, vecs, channel, np.array([len(prev_q), len(cur_q)]), 1.0)
+    # a point that opens a branch is its own predecessor; -1 here
+    link = np.where(link == np.arange(len(q)), -1, link)
+    assert link[: len(prev_q)].tolist() == [-1] * len(prev_q)
+    assert link[len(prev_q) :].tolist() == expected
+
+    def lifted(ch):  # a channel's 2-vector as the four spin components of the per-k search
+        return np.concatenate([vec, vec * (1 - 2 * ch)]) / math.sqrt(2)
+
+    active = [{"id": c, "q": qc, "vec": lifted(0)} for c, qc in enumerate(prev_q)]
+    points = [(qc, 0.0, lifted(ch), True) for qc, ch in zip(cur_q, cur_channel)]
     reference = _match_branches(points, active, 1.0)
     assert [-1 if bid is None else bid for bid in reference] == expected
 

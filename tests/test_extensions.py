@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from spinpoint import (
     DefectKind,
     DefectSpec,
+    Device,
     ParameterDomainError,
     channel_probabilities,
     compose,
@@ -153,6 +154,12 @@ def test_compose_of_nothing_is_a_parameter_domain_error():
             [["x"] * 4] * 4,
             f"boundary matrix must be a numeric array, got {[['x'] * 4] * 4!r}",
         ),
+        # a ragged transfer has no shape, so the conversion names it
+        (
+            lambda m: transfer_to_scattering(m, 1.0),
+            [[1, 2], [3]],
+            "boundary matrix must be a numeric array, got [[1, 2], [3]]",
+        ),
         # an S-matrix may be a stack
         (
             lambda m: channel_probabilities(m, "left_up"),
@@ -171,6 +178,7 @@ def test_compose_of_nothing_is_a_parameter_domain_error():
         "compose_of_a_1x3",
         "transfer_a_string",
         "transfer_of_strings",
+        "ragged_transfer",
         "probabilities_of_a_string",
         "probabilities_of_a_vector",
     ],
@@ -372,6 +380,21 @@ def test_defect_spec_validation():
         product_defect([])
     with pytest.raises(ParameterDomainError):
         DefectSpec(DefectKind.X1, factors=(x1_defect(1.0),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Device(5), "device elements must be iterable, got int"),
+        (lambda: product_defect(5), "defect factors must be iterable, got int"),
+        (lambda: DefectSpec("product", factors=5), "defect factors must be iterable, got int"),
+        (lambda: Device(np.array(5)), "device elements must be iterable, got ndarray"),
+    ],
+    ids=["device", "product_defect", "defect_spec", "device_0d_array"],
+)
+def test_element_sequences_must_be_iterable(build, message):
+    with pytest.raises(ParameterDomainError, match=f"^{message}$"):
+        build()
 
 
 def test_unknown_kind_names_the_kinds():

@@ -115,7 +115,9 @@ def test_propagation_domain_errors():
         with pytest.raises(ParameterDomainError, match=message):
             route(np.array([1.0, 1e-310]))
     # a momentum is an int or a float, or an array of them
+    # (numpy reads a bool in a list of numbers as a number)
     not_real = ("abc", None, [1.0, "a"], [1.0, [2.0]], 1 + 1j, np.array([1 + 1j]), True, 10**400)
+    not_real += ([True, 2], [1.0, False])
     for bad in not_real:
         for route in routes:
             with pytest.raises(ParameterDomainError, match="^momentum must be a real number"):
