@@ -12,8 +12,12 @@ its own.
 
 ``main(argv)`` may be called repeatedly in one process: the argparse parser
 is built on the first call and reused, and each call reads its config and
-writes its output afresh.  This helps callers that run many commands in one
-process; a one-shot ``spinpoint`` run still builds the parser once.
+writes its output afresh.  The k and E text of a ``scatter`` or ``device``
+sweep is formatted once per process while the grid repeats: a cache keyed
+by the exact bytes of each float64 column keeps the last two columns (one
+sweep's k and E), so the bytes are unchanged.  This helps callers that run
+many commands in one process; a one-shot ``spinpoint`` run still builds the
+parser once and formats each field once.
 """
 
 from __future__ import annotations
@@ -257,10 +261,23 @@ def _fmt(value) -> str:
 _CSV_BATCH = 1024
 
 
+@functools.lru_cache(maxsize=2)
+def _column_text(bits: bytes) -> tuple[str, ...]:
+    """``repr`` of each float64 in ``bits``; the last two columns (one sweep's k and E) are kept."""
+    return tuple(map(repr, np.frombuffer(bits, dtype=np.float64).tolist()))
+
+
+def _sweep_text(column: np.ndarray) -> tuple[str, ...]:
+    """The field strings of a float64 sweep column, formatted once while the grid repeats."""
+    return _column_text(column.tobytes())
+
+
 def _csv(command: str, header: str, columns) -> str:
     """CSV v1 text: tag line, header, then one row per index of the equal-length columns.
 
-    Every field is ``repr`` of its value as a Python scalar.  In each batch
+    Every field is ``repr`` of its value as a Python scalar.  A column given
+    as a tuple holds those strings already (a sweep's k or E text from
+    ``_sweep_text``) and is sliced per batch like the arrays.  In each batch
     of rows, the float64 columns are stacked and each distinct value is
     formatted once, keyed by its bit pattern, not its value: ``-0.0`` and
     ``0.0`` compare equal but print differently.  Other columns
@@ -268,7 +285,7 @@ def _csv(command: str, header: str, columns) -> str:
     integer prints as ``0``, not ``0.0``.  The bytes are those of
     formatting every field on its own.
     """
-    columns = [np.asarray(col) for col in columns]
+    columns = [col if isinstance(col, tuple) else np.asarray(col) for col in columns]
     lines = [f"{CSV_TAG} {command}", header]
     for start in range(0, len(columns[0]), _CSV_BATCH):
         lines += _csv_rows([col[start : start + _CSV_BATCH] for col in columns])
@@ -276,12 +293,15 @@ def _csv(command: str, header: str, columns) -> str:
     return "\n".join(lines)
 
 
-def _csv_rows(columns: list[np.ndarray]) -> list[str]:
+def _csv_rows(columns: list) -> list[str]:
     """The comma-joined rows of one batch of ``_csv``."""
-    floats = [i for i, col in enumerate(columns) if col.dtype == np.float64]
-    text = [None if i in floats else list(map(repr, col.tolist())) for i, col in enumerate(columns)]
+    text = [
+        col if isinstance(col, tuple) or col.dtype == np.float64 else list(map(repr, col.tolist()))
+        for col in columns
+    ]
+    floats = [i for i, col in enumerate(text) if isinstance(col, np.ndarray)]
     if floats:
-        values = np.stack([columns[i] for i in floats])
+        values = np.stack([text[i] for i in floats])
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         strings = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         # numpy 1.x returns a flat inverse, numpy 2.x one shaped like ``values``
@@ -311,7 +331,8 @@ def _run_scatter(config: RunConfig) -> str:
         Device((config.defect,)), config.sweep.grid(), conservation_tol=config.tolerances.transfer
     )
     parts = np.stack([table.smatrix.real, table.smatrix.imag], -1).reshape(len(table), 32).T
-    columns = [table.k, table.energy, *parts, table.unitarity_residual, table.singular.astype(int)]
+    k, energy = _sweep_text(table.k), _sweep_text(table.energy)
+    columns = [k, energy, *parts, table.unitarity_residual, table.singular.astype(int)]
     short = ("Lu", "Ld", "Ru", "Rd")  # CHANNELS, abbreviated
     names = [f"s_{out}_{inc}_{part}" for out in short for inc in short for part in ("re", "im")]
     return _csv("scatter", ",".join(["k", "E", *names, "unitarity_residual", "singular"]), columns)
@@ -323,8 +344,8 @@ def _run_device(config: RunConfig) -> str:
     )
     header = "k,E,p_left_up,p_left_down,p_right_up,p_right_down,unitarity_residual,singular"
     columns = [
-        table.k,
-        table.energy,
+        _sweep_text(table.k),
+        _sweep_text(table.energy),
         *channel_probabilities(table.smatrix, config.incident).T,
         table.unitarity_residual,
         table.singular.astype(int),

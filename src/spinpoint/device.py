@@ -7,7 +7,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, ParameterDomainError
+from .errors import ConfigError
 from .extensions import DefectSpec, Tolerances, check_items, check_positive, check_real
 from .extensions import defect_matrix, r_flip_defect, x1_defect
 from .scattering import _K_MAX, _K_MIN, _MAX_POINTS, ScatteringMatrix, channel_blocks
@@ -47,12 +47,8 @@ class Device:
     elements: tuple[Element, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", check_items(self.elements, "device elements"))
-        for i, el in enumerate(self.elements):
-            if not isinstance(el, (DefectSpec, FreeSegment)):
-                raise ParameterDomainError(
-                    f"device element {i} must be a DefectSpec or FreeSegment, got {type(el)!r}"
-                )
+        elements = check_items(self.elements, "device element", (DefectSpec, FreeSegment))
+        object.__setattr__(self, "elements", elements)
 
     @property
     def total_length(self) -> float:

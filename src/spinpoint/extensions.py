@@ -98,13 +98,22 @@ def check_positive(value, name: str, error: type[Exception] = ParameterDomainErr
     return value
 
 
-def check_items(items, name: str) -> tuple:
-    """``items`` as a tuple; ParameterDomainError unless it is iterable."""
+def check_items(items, name: str, types: tuple[type, ...]) -> tuple:
+    """``items`` as a tuple; ParameterDomainError unless it is iterable and each is of ``types``.
+
+    ``name`` is one item's name, e.g. ``"device element"``.
+    """
     try:
-        items = iter(items)
+        iterator = iter(items)
     except TypeError:
-        raise ParameterDomainError(f"{name} must be iterable, got {type(items).__name__}") from None
-    return tuple(items)
+        got = type(items).__name__
+        raise ParameterDomainError(f"{name}s must be iterable, got {got}") from None
+    items = tuple(iterator)
+    for i, item in enumerate(items):
+        if not isinstance(item, types):
+            allowed = " or ".join(t.__name__ for t in types)
+            raise ParameterDomainError(f"{name} {i} must be a {allowed}, got {type(item).__name__}")
+    return items
 
 
 def check_tolerance(tol, name: str) -> float:
@@ -174,14 +183,13 @@ class DefectSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DefectKind(self.kind))
-        object.__setattr__(self, "factors", check_items(self.factors, "defect factors"))
+        factors = check_items(self.factors, "defect factor", (DefectSpec,))
+        object.__setattr__(self, "factors", factors)
         if self.kind is DefectKind.PRODUCT:
             if self.value is not None:
                 raise ParameterDomainError("product defect takes no value, only factors")
             if not self.factors:
                 raise ParameterDomainError("product defect needs at least one factor")
-            if not all(isinstance(f, DefectSpec) for f in self.factors):
-                raise ParameterDomainError("product factors must be DefectSpec instances")
             return
         if self.factors:
             raise ParameterDomainError(f"{self.kind.value} defect takes no factors")
@@ -372,7 +380,7 @@ def conserves_currents(matrix: np.ndarray, tol: float = Tolerances.current) -> C
 def x2_from_mu(mu: float) -> float:
     """Map a mass-jump ratio mu > 0 to the scaling strength 2(mu-1)/(mu+1)."""
     mu = check_positive(mu, "mu")
-    return 2.0 * (mu - 1.0) / (mu + 1.0)
+    return 2.0 * ((mu - 1.0) / (mu + 1.0))  # divided first: 2 * (mu - 1) overflows near the max
 
 
 def mu_from_x2(x2: float) -> float:

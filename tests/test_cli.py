@@ -22,6 +22,7 @@ from spinpoint import (
     Device,
     FreeSegment,
     PeriodicComb,
+    channel_probabilities,
     conserves_currents,
     dispersion,
     flux_defect,
@@ -36,9 +37,13 @@ from spinpoint import (
     x4_defect,
 )
 from spinpoint.cli import (
+    _CSV_BATCH,
     RunConfig,
     SweepSpec,
     Tolerances,
+    _column_text,
+    _csv,
+    _sweep_text,
     load_config,
     main,
     parse_config,
@@ -521,6 +526,102 @@ def test_example_config_output_bytes_are_pinned(command, tmp_path, capsys):
     out = tmp_path / f"{command}.out"
     assert main([command, "--config", str(CONFIG_DIR / f"{command}.json"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONFIG_OUTPUT_SHA256[command]
+
+
+def command_text(config, path):
+    run(config, out=path)
+    return path.read_text(encoding="utf-8")
+
+
+def per_field_rows(config):
+    """The rows of a scatter or device CSV with every field formatted on its own by ``repr``."""
+    spec = Device((config.defect,)) if config.command == "scatter" else config.device
+    table = spectrum(spec, config.sweep.grid(), conservation_tol=config.tolerances.transfer)
+    if config.command == "scatter":
+        values = np.stack([table.smatrix.real, table.smatrix.imag], -1).reshape(len(table), 32).T
+    else:
+        values = channel_probabilities(table.smatrix, config.incident).T
+    columns = [table.k, table.energy, *values, table.unitarity_residual, table.singular.astype(int)]
+    return [",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
+
+
+def assert_same_lines(lines, expected):
+    """``lines == expected``, naming the first differing line (a full diff takes minutes)."""
+    for i, (line, want) in enumerate(zip(lines, expected)):
+        assert line == want, f"line {i}"
+    assert len(lines) == len(expected)
+
+
+def csv_lines(text):
+    """The lines of a CSV text, with the empty last one, so equal lines mean equal bytes."""
+    return text.split("\n")
+
+
+@pytest.mark.parametrize("command", ["scatter", "device"])
+def test_sweep_text_cold_warm_and_per_field_agree(command, tmp_path):
+    # the k and E text comes from the cache on the warm run; no sha256 pin, so the
+    # comparison holds on any BLAS build
+    config = load_config(CONFIG_DIR / f"{command}.json")
+    _column_text.cache_clear()
+    cold = command_text(config, tmp_path / "cold.csv")
+    assert _column_text.cache_info().misses == 2
+    warm = command_text(config, tmp_path / "warm.csv")
+    assert _column_text.cache_info().hits == 2
+    assert_same_lines(csv_lines(warm), csv_lines(cold))
+    assert_same_lines(csv_lines(cold)[2:], [*per_field_rows(config), ""])
+
+
+def test_sweep_text_follows_interleaved_sweeps(tmp_path):
+    # two sweeps of one length but other spacing, and one of another length: a key
+    # that misses the spacing or the length hands one grid's text to another
+    sweeps = [
+        {"k_min": 0.1, "k_max": 8.0, "points": 40},
+        {"k_min": 0.1, "k_max": 8.0, "points": 40, "spacing": "linear"},
+        {"k_min": 0.1, "k_max": 8.0, "points": 41},
+    ]
+    defect = {"kind": "rtilde_x1", "r_tilde": 0.7}
+    elements = [{"kind": "r_x4", "r": 0.3}, {"free": 0.8}, {"kind": "x1", "x1": 0.5}]
+    configs = [parse_config(make_config(command="scatter", defect=defect, sweep=s)) for s in sweeps]
+    configs += [
+        parse_config(make_config(command="device", device={"elements": elements}, sweep=s))
+        for s in sweeps
+    ]
+    cold = []
+    for config in configs:
+        _column_text.cache_clear()
+        cold.append(csv_lines(command_text(config, tmp_path / "cold.csv")))
+        assert_same_lines(cold[-1][2:], [*per_field_rows(config), ""])
+    for i in [0, 3, 1, 4, 2, 5, 0, 0, 4, 1, 3, 2, 2, 5, 1]:
+        assert_same_lines(csv_lines(command_text(configs[i], tmp_path / "warm.csv")), cold[i])
+
+
+def test_sweep_text_column_formats_like_its_floats():
+    # columns that share values, so the float columns' dedup crosses the given text
+    rng = np.random.default_rng(5)
+    rows = 2 * _CSV_BATCH + 5
+    k = np.sort(rng.uniform(0.01, 20.0, rows))
+    energy = k**2
+    shared = rng.choice(np.concatenate([k, energy, [0.0, -0.0]]), rows)
+    singular = (rng.random(rows) < 0.1).astype(int)
+    header = "k,E,shared,singular"
+    expected = csv_lines(_csv("device", header, [k, energy, shared, singular]))
+    for columns in (
+        [_sweep_text(k), _sweep_text(energy), shared, singular],
+        [k, _sweep_text(energy), shared, singular],
+    ):
+        assert_same_lines(csv_lines(_csv("device", header, columns)), expected)
+
+
+def test_sweep_text_cache_is_bounded_and_holds_tuples():
+    assert _column_text.cache_info().maxsize == 2
+    _column_text.cache_clear()
+    k = np.geomspace(0.01, 20.0, 50)
+    text = _sweep_text(k)
+    assert type(text) is tuple and text == tuple(map(repr, k.tolist()))
+    assert _sweep_text(k.copy()) is text  # another array of the same bytes hits
+    for points in (3, 4, 5):
+        _sweep_text(np.geomspace(0.01, 20.0, points))
+    assert _column_text.cache_info().currsize == 2
 
 
 def test_main_command_mismatch_fails(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from spinpoint import (
     DefectKind,
     DefectSpec,
+    FreeSegment,
     Device,
     ParameterDomainError,
     channel_probabilities,
@@ -332,6 +334,22 @@ def test_mass_jump_strength_conversion():
     assert mu_from_x2(x2_from_mu(0.42)) == pytest.approx(0.42)
 
 
+def test_mass_jump_strength_stays_finite_at_the_float_range_ends():
+    # 2 * (mu - 1) overflows near the largest float; the quotient is in (-1, 1)
+    assert x2_from_mu(1e308) == 2.0
+    assert x2_from_mu(sys.float_info.max) == 2.0
+    assert x2_from_mu(5e-324) == -2.0
+
+
+@given(st.floats(min_value=5e-324, allow_infinity=False))
+def test_mass_jump_strength_keeps_the_bits_of_the_undivided_form(mu):
+    # scaling by 2 is exact and the quotient is never subnormal, so wherever the
+    # undivided form is finite both give the same float
+    undivided = 2.0 * (mu - 1.0) / (mu + 1.0)
+    if math.isfinite(undivided):
+        assert x2_from_mu(mu).hex() == undivided.hex()
+
+
 def test_mass_jump_conversion_domains():
     with pytest.raises(ParameterDomainError):
         x2_from_mu(-1.0)
@@ -389,8 +407,27 @@ def test_defect_spec_validation():
         (lambda: product_defect(5), "defect factors must be iterable, got int"),
         (lambda: DefectSpec("product", factors=5), "defect factors must be iterable, got int"),
         (lambda: Device(np.array(5)), "device elements must be iterable, got ndarray"),
+        (lambda: Device((5,)), "device element 0 must be a DefectSpec or FreeSegment, got int"),
+        (
+            lambda: Device([x1_defect(1.0), FreeSegment(1.0), "x1"]),
+            "device element 2 must be a DefectSpec or FreeSegment, got str",
+        ),
+        (lambda: product_defect([5]), "defect factor 0 must be a DefectSpec, got int"),
+        (
+            lambda: DefectSpec("product", factors=(x1_defect(1.0), FreeSegment(1.0))),
+            "defect factor 1 must be a DefectSpec, got FreeSegment",
+        ),
     ],
-    ids=["device", "product_defect", "defect_spec", "device_0d_array"],
+    ids=[
+        "device",
+        "product_defect",
+        "defect_spec",
+        "device_0d_array",
+        "device_element_int",
+        "device_element_str",
+        "product_factor_int",
+        "product_factor_segment",
+    ],
 )
 def test_element_sequences_must_be_iterable(build, message):
     with pytest.raises(ParameterDomainError, match=f"^{message}$"):
@@ -414,5 +451,5 @@ def test_defect_spec_holds_one_value_per_kind():
         DefectSpec(DefectKind.X1)
     with pytest.raises(ParameterDomainError, match="^product defect takes no value"):
         DefectSpec(DefectKind.PRODUCT, 1.0, factors=(x1_defect(1.0),))
-    with pytest.raises(ParameterDomainError, match="^product factors must be DefectSpec"):
+    with pytest.raises(ParameterDomainError, match="^defect factor 0 must be a DefectSpec"):
         DefectSpec(DefectKind.PRODUCT, factors=(1.0,))
