@@ -260,6 +260,13 @@ def _channel_roots(comb: PeriodicComb, ks: np.ndarray):
     return lam.reshape(len(ks), 4), blocks, jordan.any(axis=1)
 
 
+def _energy(ks: np.ndarray) -> np.ndarray:
+    """E = k^2 of each momentum by libm pow, as the CSV v1 bytes were written (k * k differs
+    by one ulp on some k); the ``bands`` command formats its E text from the grid's energies.
+    """
+    return np.float_power(ks, 2)
+
+
 def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = Tolerances.bloch) -> BandDiagram:
     """Compute the band diagram of a comb over a sorted positive k grid.
 
@@ -307,13 +314,11 @@ def dispersion(comb: PeriodicComb, k_grid, *, bloch_tol: float = Tolerances.bloc
         head = jumped
     opens = head == np.arange(len(rows))
 
-    k = ks[rows]
     return BandDiagram(
         period=period,
-        k=k,
+        k=ks[rows],
         q=q[rows, cols],
-        # libm pow, as the CSV v1 bytes were written; k * k differs by one ulp on some k
-        energy=np.float_power(k, 2),
+        energy=_energy(ks)[rows],
         branch_id=(np.cumsum(opens) - 1)[head],
         lambda_residual=residual[rows, cols],
         flagged_k=tuple(ks[jordan].tolist()),
@@ -388,7 +393,7 @@ def scalar_dispersion(comb: PeriodicComb, k_grid) -> tuple[np.ndarray, np.ndarra
     half_trace = _half_sum(a, d)
     band = np.abs(half_trace) <= 1.0
     k = ks[band]
-    return k, np.arccos(half_trace[band]) / comb.period, np.float_power(k, 2)
+    return k, np.arccos(half_trace[band]) / comb.period, _energy(k)
 
 
 def scalar_kp_relation(x4: float, a: float, k):

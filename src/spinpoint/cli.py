@@ -12,12 +12,14 @@ its own.
 
 ``main(argv)`` may be called repeatedly in one process: the argparse parser
 is built on the first call and reused, and each call reads its config and
-writes its output afresh.  The k and E text of a ``scatter`` or ``device``
-sweep is formatted once per process while the grid repeats: a cache keyed
-by the exact bytes of each float64 column keeps the last two columns (one
-sweep's k and E), so the bytes are unchanged.  This helps callers that run
-many commands in one process; a one-shot ``spinpoint`` run still builds the
-parser once and formats each field once.
+writes its output afresh.  The k and E text of a sweep is formatted once per
+process while the grid repeats: a cache keyed by the exact bytes of each
+float64 column keeps the last two columns (one sweep's k and E, about 83 B
+per momentum per column), so the bytes are unchanged.  ``scatter`` and
+``device`` write one row per grid point; each ``bands`` point takes the text
+of its grid point, found by ``searchsorted`` on the sorted grid.  This helps
+callers that run many commands in one process; a one-shot ``spinpoint`` run
+still builds the parser once and formats each field once.
 """
 
 from __future__ import annotations
@@ -263,12 +265,16 @@ _CSV_BATCH = 1024
 
 @functools.lru_cache(maxsize=2)
 def _column_text(bits: bytes) -> tuple[str, ...]:
-    """``repr`` of each float64 in ``bits``; the last two columns (one sweep's k and E) are kept."""
+    """``repr`` of each float64 in ``bits``; the last two columns (one sweep's k and E) are kept,
+    about 83 B per value each with its key.
+    """
     return tuple(map(repr, np.frombuffer(bits, dtype=np.float64).tolist()))
 
 
 def _sweep_text(column: np.ndarray) -> tuple[str, ...]:
-    """The field strings of a float64 sweep column, formatted once while the grid repeats."""
+    """The field strings of a float64 sweep column, formatted once while the grid repeats: the k
+    and E of a ``scatter`` or ``device`` table, or of the grid a ``bands`` diagram is gathered from.
+    """
     return _column_text(column.tobytes())
 
 
@@ -354,10 +360,15 @@ def _run_device(config: RunConfig) -> str:
 
 
 def _run_bands(config: RunConfig) -> str:
-    diagram = _bands.dispersion(
-        config.comb, config.sweep.grid(), bloch_tol=config.tolerances.bloch
+    grid = config.sweep.grid()
+    diagram = _bands.dispersion(config.comb, grid, bloch_tol=config.tolerances.bloch)
+    # each point's k and E text is its grid point's: the grid is sorted, so searchsorted finds
+    # a point's k, and equal k have equal bits
+    at = np.searchsorted(grid, diagram.k).tolist()
+    k, energy = (
+        tuple(map(_sweep_text(column).__getitem__, at)) for column in (grid, _bands._energy(grid))
     )
-    columns = [diagram.k, diagram.energy, diagram.q, diagram.branch_id, diagram.lambda_residual]
+    columns = [k, energy, diagram.q, diagram.branch_id, diagram.lambda_residual]
     return _csv("bands", "k,E,q,branch_id,lambda_residual", columns)
 
 

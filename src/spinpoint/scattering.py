@@ -208,11 +208,16 @@ def channel_matrix(channels: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [b, a]])
 
 
-def _half_sum(x, y):
-    """(x + y) / 2, halving first only where the sum overflows (elsewhere subnormals stay exact)."""
+def _half_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + y) / 2 of two arrays of one shape, halving first only where the sum overflows
+    (elsewhere subnormals stay exact).
+    """
     with np.errstate(over="ignore"):
         half = (x + y) / 2
-    return np.where(np.isfinite(half), half, x / 2 + y / 2)
+    if not (finite := np.isfinite(half)).all():
+        over = ~finite
+        half[over] = x[over] / 2 + y[over] / 2
+    return half
 
 
 def channel_scattering(channels: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,22 +227,35 @@ def channel_scattering(channels: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray
     maps (a_L, b_L) to (b_R, a_R) through [[alpha, beta], [gamma, delta]],
     pseudo-unitary when the current is conserved, so r = -gamma/delta,
     t = alpha/|delta|^2, t' = 1/delta and r' = beta/delta (Mello, Pereyra &
-    Kumar, Ann. Phys. 181, 290 (1988)).  Also returns the mask of NaN rows.
+    Kumar, Ann. Phys. 181, 290 (1988)).  With 2 delta = a + d - i(bk - c/k),
+    c/k overflows at small k; the rows that come out non-finite are computed
+    again with every numerator and denominator multiplied by k, e.g.
+    2 delta k = (a + d)k - i(bk^2 - c), and the other rows keep their bits.
+    Also returns the mask of the rows that are still not finite, set to NaN.
     """
     (a, b), (c, d) = channels
     kc = ks[:, None]  # momenta against the channel axis
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u, v = b * kc - c / kc, b * kc + c / kc
-        delta2 = a + d - 1j * u  # 2 delta; alpha and delta differ in the sign of u
-        tp = 2 / delta2
-        # t = alpha/|delta|^2 in two divisions, so that |delta|^2 cannot overflow
-        t = (a + d + 1j * u) / delta2.conj() * tp
-        r, rp = (d - a - 1j * v) / delta2, (a - d - 1j * v) / delta2
-        s = channel_matrix(np.array([[r, tp], [t, rp]]))
-    s = closed_form_to_grouped(s)
-    singular = ~np.isfinite(s).all(axis=(-2, -1))
+        s = _smatrix(a, d, b * kc - c / kc, b * kc + c / kc, 2)
+        singular = ~np.isfinite(s).all(axis=(-2, -1))
+        if singular.any():
+            a, b, c, d, kc = (entry[singular] for entry in (a, b, c, d, kc))
+            s[singular] = _smatrix(a * kc, d * kc, b * kc * kc - c, b * kc * kc + c, 2 * kc)
+            singular = ~np.isfinite(s).all(axis=(-2, -1))
     s[singular] = np.nan
     return s, singular
+
+
+def _smatrix(a, d, u, v, two) -> np.ndarray:
+    """Grouped S-matrices (n, 4, 4) of :func:`channel_scattering` from the channel entries a and
+    d, u = bk - c/k, v = bk + c/k and ``two`` = 2, or from all of them times k.
+    """
+    delta2 = a + d - 1j * u  # 2 delta; alpha and delta differ in the sign of u
+    tp = two / delta2
+    # t = alpha/|delta|^2 in two divisions, so that |delta|^2 cannot overflow
+    t = (a + d + 1j * u) / delta2.conj() * tp
+    r, rp = (d - a - 1j * v) / delta2, (a - d - 1j * v) / delta2
+    return closed_form_to_grouped(channel_matrix(np.array([[r, tp], [t, rp]])))
 
 
 def check_finite(finite: np.ndarray, ks: np.ndarray) -> None:

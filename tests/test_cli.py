@@ -534,14 +534,21 @@ def command_text(config, path):
 
 
 def per_field_rows(config):
-    """The rows of a scatter or device CSV with every field formatted on its own by ``repr``."""
-    spec = Device((config.defect,)) if config.command == "scatter" else config.device
-    table = spectrum(spec, config.sweep.grid(), conservation_tol=config.tolerances.transfer)
-    if config.command == "scatter":
-        values = np.stack([table.smatrix.real, table.smatrix.imag], -1).reshape(len(table), 32).T
+    """The rows of a scatter, device or bands CSV with every field formatted on its own by
+    ``repr``."""
+    if config.command == "bands":
+        diagram = dispersion(config.comb, config.sweep.grid(), bloch_tol=config.tolerances.bloch)
+        columns = [diagram.k, diagram.energy, diagram.q, diagram.branch_id, diagram.lambda_residual]
     else:
-        values = channel_probabilities(table.smatrix, config.incident).T
-    columns = [table.k, table.energy, *values, table.unitarity_residual, table.singular.astype(int)]
+        spec = Device((config.defect,)) if config.command == "scatter" else config.device
+        table = spectrum(spec, config.sweep.grid(), conservation_tol=config.tolerances.transfer)
+        if config.command == "scatter":
+            parts = np.stack([table.smatrix.real, table.smatrix.imag], -1)
+            values = parts.reshape(len(table), 32).T
+        else:
+            values = channel_probabilities(table.smatrix, config.incident).T
+        singular = table.singular.astype(int)
+        columns = [table.k, table.energy, *values, table.unitarity_residual, singular]
     return [",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
 
 
@@ -557,7 +564,7 @@ def csv_lines(text):
     return text.split("\n")
 
 
-@pytest.mark.parametrize("command", ["scatter", "device"])
+@pytest.mark.parametrize("command", ["scatter", "device", "bands"])
 def test_sweep_text_cold_warm_and_per_field_agree(command, tmp_path):
     # the k and E text comes from the cache on the warm run; no sha256 pin, so the
     # comparison holds on any BLAS build
@@ -593,6 +600,42 @@ def test_sweep_text_follows_interleaved_sweeps(tmp_path):
         assert_same_lines(cold[-1][2:], [*per_field_rows(config), ""])
     for i in [0, 3, 1, 4, 2, 5, 0, 0, 4, 1, 3, 2, 2, 5, 1]:
         assert_same_lines(csv_lines(command_text(configs[i], tmp_path / "warm.csv")), cold[i])
+
+
+def test_sweep_text_keeps_each_commands_energy_on_one_grid(tmp_path):
+    # device writes E = k * k and bands libm's pow(k, 2), which differ in the last bit on some
+    # k; the two E columns of one grid are distinct keys, so neither gets the other's text
+    sweep = {"k_min": 0.1, "k_max": 8.0, "points": 40, "spacing": "linear"}
+    elements = [{"kind": "r_x4", "r": 0.3}, {"free": 0.8}, {"kind": "x1", "x1": 0.5}]
+    device = parse_config(make_config(command="device", device={"elements": elements}, sweep=sweep))
+    comb = {"period": 1.0, "cell": [{"kind": "r_x4", "r": 0.5}]}
+    bands = parse_config(make_config(command="bands", comb=comb, sweep=sweep))
+    expected = {config.command: [*per_field_rows(config), ""] for config in (device, bands)}
+    _column_text.cache_clear()
+    for config in [device, bands, bands, device, device, bands, device]:
+        lines = csv_lines(command_text(config, tmp_path / "out.csv"))
+        assert_same_lines(lines[2:], expected[config.command])
+    # a bands point's E text is the device's at its k exactly where k * k and pow(k, 2) agree
+    grid = device.sweep.grid()
+    device_e = {row.split(",")[0]: row.split(",")[1] for row in expected["device"][:-1]}
+    for row in expected["bands"][:-1]:
+        k, e = row.split(",")[:2]
+        at = int(np.searchsorted(grid, float(k)))
+        assert (e == device_e[k]) == (grid[at] * grid[at] == np.float_power(grid[at], 2))
+
+
+def test_sweep_text_of_bands_skips_the_grid_points_in_a_gap(tmp_path):
+    # k in about [3.3, 3.9] lies inside the first gap of this comb: the grid points there carry
+    # no row, so the rows take their text from a gather with gaps, not a slice of the grid
+    comb = {"period": 1.0, "cell": [{"kind": "x1", "x1": 5.0}]}
+    sweep = {"k_min": 0.1, "k_max": 6.0, "points": 200, "spacing": "linear"}
+    config = parse_config(make_config(command="bands", comb=comb, sweep=sweep))
+    expected = [*per_field_rows(config), ""]
+    ks = {float(row.split(",")[0]) for row in expected[:-1]}
+    assert min(ks) < 3.3 and max(ks) > 3.9 and not any(3.3 <= k <= 3.9 for k in ks)
+    _column_text.cache_clear()
+    for _ in range(2):  # cold, then warm
+        assert_same_lines(csv_lines(command_text(config, tmp_path / "out.csv"))[2:], expected)
 
 
 def test_sweep_text_column_formats_like_its_floats():

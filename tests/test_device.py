@@ -444,6 +444,14 @@ def stand_in_matrix(spec):
     return STAND_INS[spec] if spec in STAND_INS else defect_matrix(spec)
 
 
+def device_of(defects, gaps):
+    """The defects in order, a free segment of each gap between two of them."""
+    elements = [defects[0]]
+    for defect, gap in zip(defects[1:], gaps):
+        elements += [FreeSegment(gap), defect]
+    return Device(elements)
+
+
 @given(
     defects=st.lists(st.sampled_from(ONE_DEFECT_SPECS + list(STAND_INS)), min_size=1, max_size=8),
     gaps=st.lists(st.floats(min_value=0.05, max_value=2.0), min_size=7, max_size=7),
@@ -454,9 +462,7 @@ def test_spectrum_gate_agrees_with_each_defects_own_gate(defects, gaps, tol):
     # the sweep raises exactly when some defect's own gate does: with the message of the
     # first defect in element order that fails the current rule, else of the first that
     # fails the spin-swap rule
-    elements = [defects[0]]
-    for defect, gap in zip(defects[1:], gaps):
-        elements += [FreeSegment(gap), defect]
+    device = device_of(defects, gaps)
     own = (stand_in_matrix(el) for el in defects)
     gates = [outcome(lambda: transfer_to_scattering(m, 0.5, conservation_tol=tol)) for m in own]
     messages = [m for m in gates if isinstance(m, str)]
@@ -465,22 +471,59 @@ def test_spectrum_gate_agrees_with_each_defects_own_gate(defects, gaps, tol):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device_mod, "defect_matrix", stand_in_matrix)
         if expected is None:
-            spectrum(Device(elements), [0.5, 1.0], conservation_tol=tol)
+            spectrum(device, [0.5, 1.0], conservation_tol=tol)
         else:
             with pytest.raises(InvalidTransferError, match=f"^{re.escape(expected)}$"):
-                spectrum(Device(elements), [0.5, 1.0], conservation_tol=tol)
+                spectrum(device, [0.5, 1.0], conservation_tol=tol)
 
 
-def test_spectrum_smatrix_is_nan_exactly_on_singular_rows():
-    # the defect's coupling over k, 1e150 / 1e-160, overflows at the first momentum only
-    device, ks = Device((x1_defect(1e150),)), [1e-160, 1.0]
-    table = spectrum(device, ks)
+def test_spectrum_smatrix_is_nan_exactly_on_singular_rows(monkeypatch):
+    real = device_mod._compose
+
+    def zero_first(elements, matrices, ks):
+        # a zero channel transfer has no S-matrix, at the first momentum only
+        channels = real(elements, matrices, ks)
+        channels[:, :, 0] = 0.0
+        return channels
+
+    monkeypatch.setattr(device_mod, "_compose", zero_first)
+    table = spectrum(Device((x1_defect(1.5),)), [0.5, 1.0])
     assert table.singular.tolist() == [True, False]
     assert table.smatrix.shape == (2, 4, 4)
     assert np.isnan(table.smatrix[0]).all() and np.isfinite(table.smatrix[1]).all()
     for idx, channel in enumerate(CHANNELS):
         probs = channel_probabilities(table.smatrix, channel)
         assert np.array_equal(probs, np.abs(table.smatrix[:, :, idx]) ** 2, equal_nan=True)
+
+
+SMALL_K_CASES = [
+    # c = 1e10 over k overflows below k ~ 5.6e-299; at 1e-200 it does not
+    pytest.param(Device((x1_defect(1e10),)), [2.3e-308, 1e-300], 1e-200, id="x1-1e10"),
+    # c = 6 over k overflows only at the smallest momenta
+    pytest.param(
+        Device((mass_jump_defect(3.0), FreeSegment(1.0), x1_defect(2.0))),
+        [sys.float_info.min, 2.3e-308],
+        1e-305,
+        id="mass_jump-free-x1",
+    ),
+]
+
+
+@pytest.mark.parametrize("device, small, finite_k", SMALL_K_CASES)
+def test_small_k_rows_are_finite_unitary_and_totally_reflecting(device, small, finite_k):
+    # c/k overflows in 2 delta = a + d - i(bk - c/k) at the ``small`` momenta; those rows are
+    # computed again from everything times k, and match the total reflection at ``finite_k``
+    ks = np.array([*small, finite_k, 1.0])
+    table = spectrum(device, ks)
+    assert not table.singular.any() and np.isfinite(table.smatrix).all()
+    assert table.unitarity_residual.max() <= 1e-15
+    transmission = np.abs(table.smatrix[:, 2:, :2]) ** 2
+    assert transmission[:-1].sum(axis=(1, 2)).max() <= 1e-30
+    assert np.abs(table.smatrix[: len(small)] - table.smatrix[len(small)]).max() <= 1e-15
+    # the rows that did not overflow keep their bits
+    alone = spectrum(device, ks[len(small) :])
+    assert np.array_equal(table.smatrix[len(small) :], alone.smatrix)
+    assert np.array_equal(table.unitarity_residual[len(small) :], alone.unitarity_residual)
 
 
 def opaque_chain(x1, cells):
@@ -557,6 +600,74 @@ def test_channel_route_matches_oracle_on_random_devices(elements, ks):
     assert not singular.any()
     for i, k in enumerate(ks):
         assert np.abs(s[i] - smatrix_by_matching(device, k)).max() <= 1e-10
+
+
+#: Bound on max|S - S^T| (flux-free) and max|S(phi) - S(-phi)^T|; 1500 devices of each
+#: sort drawn as below gave at most 3.1e-16 and 1.0e-13.  An error on one side, e.g.
+#: S -> P S with P a channel permutation, gives residuals of order 1.
+RECIPROCITY_TOL = 1e-11
+RECIPROCITY_KS = np.geomspace(0.05, 30.0, 60)
+real_defects = st.one_of(
+    st.builds(x1_defect, strengths),
+    st.builds(x4_defect, strengths),
+    st.builds(r_flip_defect, strengths),
+    st.builds(rtilde_flip_defect, strengths),
+    st.builds(mass_jump_defect, st.floats(min_value=0.3, max_value=3.0)),
+)
+phases = st.floats(min_value=-2.0, max_value=2.0)
+flux_defects = st.one_of(
+    st.builds(flux_defect, phases),
+    st.builds(
+        lambda phi, r: product_defect([flux_defect(phi), rtilde_flip_defect(r)]), phases, strengths
+    ),
+)
+
+
+def reversed_flux(spec):
+    """The defect with every flux phase negated."""
+    if spec.kind is DefectKind.FLUX:
+        return flux_defect(-spec.value)
+    if spec.kind is DefectKind.PRODUCT:
+        return product_defect([reversed_flux(f) for f in spec.factors])
+    return spec
+
+
+def transposed(s):
+    return np.swapaxes(s, -2, -1)
+
+
+gaps_strategy = st.lists(st.floats(min_value=0.05, max_value=2.0), min_size=6, max_size=6)
+
+
+@given(defects=st.lists(real_defects, min_size=1, max_size=7), gaps=gaps_strategy)
+@settings(max_examples=100, deadline=None)
+def test_flux_free_devices_are_reciprocal(defects, gaps):
+    # every boundary matrix but flux is real, so S = S^T; an error on the output side only
+    # (a permutation or phase, S -> P S) keeps S unitary but breaks this
+    s = spectrum(device_of(defects, gaps), RECIPROCITY_KS).smatrix
+    assert np.abs(s - transposed(s)).max() <= RECIPROCITY_TOL
+
+
+@given(
+    defects=st.lists(real_defects | flux_defects, min_size=0, max_size=6),
+    flux=flux_defects,
+    at=st.integers(0, 6),
+    gaps=gaps_strategy,
+)
+@settings(max_examples=100, deadline=None)
+def test_flux_devices_are_reciprocal_under_time_reversal(defects, flux, at, gaps):
+    # time reversal negates every flux phase: S(phi) = S(-phi)^T, while S != S^T in general
+    defects.insert(min(at, len(defects)), flux)
+    s = spectrum(device_of(defects, gaps), RECIPROCITY_KS).smatrix
+    reverse = spectrum(device_of([reversed_flux(d) for d in defects], gaps), RECIPROCITY_KS)
+    assert np.abs(s - transposed(reverse.smatrix)).max() <= RECIPROCITY_TOL
+
+
+def test_flux_breaks_plain_reciprocity():
+    # the time-reversal test above is not S = S^T in disguise
+    device = device_of([flux_defect(0.3), r_flip_defect(0.8), x1_defect(1.2)], [0.7, 0.4])
+    s = spectrum(device, RECIPROCITY_KS).smatrix
+    assert np.abs(s - transposed(s)).max() > 0.1
 
 
 def test_spectrum_overflowing_transfer_raises():
